@@ -19,8 +19,6 @@ plus one row per global limit.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 # Carbon intensity of combustion, tCO2 per MWh of fuel burned.
@@ -451,7 +449,3 @@ def fixture_document() -> dict:
         },
     }
 
-
-def write_fixture(path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fixture_document(), fh, indent=1)

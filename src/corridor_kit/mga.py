@@ -8,6 +8,10 @@ sequences inherit their fleet from the same-sense solution at the previous
 horizon (the lineage rule), while the budget always references the optimal
 sequence.
 
+The horizon loop (phase-out, carry-over, build, translate, extract) lives
+in :mod:`corridor_kit.pathway`; this module supplies only the budgeted
+per-horizon step that replaces the cost-optimal solve.
+
 The reported ranges are conservative: the extremum at horizon ``i`` is taken
 over solutions reachable from this lineage's predecessor only, whereas the
 full near-optimal space at ``i`` allows any near-optimal predecessor, so the
@@ -16,24 +20,15 @@ true attainable range can be wider.  Nothing here asserts tightness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fleet import Fleet, fleet_from_document
+from .fleet import Fleet
 from .lp import LpProblem
-from .network import build_network
-from .pathway import (
-    HorizonStep,
-    PathwayRecord,
-    carry_over,
-    exempt_asset_ids,
-    phase_out,
-)
-from .reduction import aggregate_build_years, disaggregate
-from .scenarios import Scenario, apply_scenario
+from .pathway import HorizonStep, PathwayRecord, _run_chain
+from .scenarios import Scenario
 from .simplex import SolverOptions, solve
-from .translate import extract, translate
 
 BUDGET_LABEL = "budget"
 PIN_LABEL = "target_pin"
@@ -96,22 +91,7 @@ def extremize(problem: LpProblem, sense: str, options: SolverOptions | None = No
         raise ValueError("problem has no budget row; call add_cost_budget first")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, not {sense!r}")
-    solve_problem = problem
-    if sense == "max":
-        solve_problem = LpProblem(
-            c=-problem.c,
-            a_rows=problem.a_rows,
-            a_cols=problem.a_cols,
-            a_vals=problem.a_vals,
-            senses=problem.senses,
-            b=problem.b,
-            lb=problem.lb,
-            ub=problem.ub,
-            row_labels=problem.row_labels,
-            col_labels=problem.col_labels,
-            aux=problem.aux,
-            meta=problem.meta,
-        )
+    solve_problem = replace(problem, c=-problem.c) if sense == "max" else problem
     solution = solve(solve_problem, options)
     if solution.status != "optimal":
         return solution, None
@@ -172,50 +152,12 @@ def run_extremal_pathway(
         if horizon not in c_star_of:
             raise ValueError(f"no optimal-cost record for horizon {horizon}")
 
-    steps: list[HorizonStep] = []
-    fleet = initial_fleet if initial_fleet is not None else fleet_from_document(document)
-    prev: HorizonStep | None = None
-    for horizon in horizons:
-        if prev is not None:
-            fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
-        else:
-            fleet = phase_out(fleet, horizon)
-        network = apply_scenario(build_network(document, horizon), scenario, horizon)
-        work_fleet, agg_map = fleet, None
-        if aggregate:
-            work_fleet, agg_map = aggregate_build_years(
-                fleet, exempt_asset_ids(network), expiry_exact=False
-            )
-        problem = translate(network, work_fleet)
+    def step(problem, horizon, is_last):
         budgeted = add_cost_budget(problem, problem.c, c_star_of[horizon], slack.epsilon)
         solution, mu = extremize(budgeted, slack.sense, solver_options)
-        if solution.status != "optimal":
-            record = PathwayRecord(
-                scenario_id=scenario.id,
-                horizon=horizon,
-                sense=slack.sense,
-                epsilon=slack.epsilon,
-                status=solution.status,
-            )
-            steps.append(HorizonStep(record=record, dispatch=None, fleet=fleet, network=network))
-            break
-        if horizon != horizons[-1]:
+        if solution.status == "optimal" and not is_last:
             # The tie-break matters only for the fleet the next horizon inherits.
             solution = _cheapest_representative(budgeted, solution, slack.sense, solver_options)
-        dispatch = extract(budgeted, solution)
-        if agg_map is not None:
-            dispatch = disaggregate(dispatch, agg_map)
-        record = PathwayRecord(
-            scenario_id=scenario.id,
-            horizon=horizon,
-            sense=slack.sense,
-            epsilon=slack.epsilon,
-            status="optimal",
-            cost_eur=dispatch.objective,
-            h2_mt=dispatch.target_value_mt,
-            mu_raw=mu,
-        )
-        step = HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
-        steps.append(step)
-        prev = step
-    return steps
+        return slack.sense, slack.epsilon, budgeted, solution, mu
+
+    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)

@@ -2,7 +2,9 @@
 
 Each planning horizon is optimized without foresight of later ones; unexpired
 capacity built at earlier horizons is carried forward with parameters frozen
-as built, and assets at the end of their lifetime are phased out.
+as built, and assets at the end of their lifetime are phased out.  The same
+horizon loop drives the min/max pathways of :mod:`corridor_kit.mga`, which
+supply only a budgeted per-horizon solve.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from .simplex import SolverOptions, solve
 from .translate import DispatchResult, extract, translate
 
 BUILD_THRESHOLD_MW = 1e-6  # ignore numerically-zero builds when carrying over
+# Solver noise: a negative build within this share of the largest build
+# (at least 1 MW) counts as zero; anything more negative is an error.
+NEGATIVE_BUILD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,10 @@ def carry_over(
     at build time so later horizons dispatch the vintage exactly as built.
     """
     entries = []
+    noise = NEGATIVE_BUILD_RTOL * max([1.0, *previous.built_capacity.values()])
     for asset_id in sorted(previous.built_capacity):
         capacity = previous.built_capacity[asset_id]
-        if capacity < 0:
+        if capacity < -noise:
             raise ValueError(f"negative built capacity for {asset_id}: {capacity}")
         if capacity <= BUILD_THRESHOLD_MW:
             continue
@@ -105,6 +111,21 @@ def run_optimal_pathway(
     """
     if list(horizons) != sorted(set(horizons)):
         raise ValueError("horizons must be strictly increasing")
+
+    def step(problem, horizon, is_last):
+        return "optimal", None, problem, solve(problem, solver_options), None
+
+    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)
+
+
+def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate):
+    """The myopic horizon loop shared by the optimal and the min/max pathways.
+
+    ``step(problem, horizon, is_last)`` solves one horizon's translated LP and
+    returns ``(sense, epsilon, solved_problem, solution, mu)``; the dispatch is
+    extracted from ``solved_problem``, whose cost vector prices ``cost_eur``.
+    A non-optimal solution is recorded and aborts the chain.
+    """
     steps: list[HorizonStep] = []
     fleet = initial_fleet if initial_fleet is not None else fleet_from_document(document)
     prev: HorizonStep | None = None
@@ -114,47 +135,31 @@ def run_optimal_pathway(
         else:
             fleet = phase_out(fleet, horizon)
         network = apply_scenario(build_network(document, horizon), scenario, horizon)
-        record, dispatch = _solve_horizon(
-            network, fleet, scenario.id, solver_options, aggregate
-        )
-        step = HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
-        steps.append(step)
-        if record.status != "optimal":
-            break
-        prev = step
-    return steps
-
-
-def _solve_horizon(network, fleet, scenario_id, solver_options, aggregate):
-    work_fleet, agg_map = fleet, None
-    if aggregate:
-        # Expiry may be ignored here: the grouping lives only inside this
-        # horizon's solve, on a fleet already phased out for it.
-        work_fleet, agg_map = aggregate_build_years(
-            fleet, exempt_asset_ids(network), expiry_exact=False
-        )
-    problem = translate(network, work_fleet)
-    solution = solve(problem, solver_options)
-    if solution.status != "optimal":
+        work_fleet, agg_map = fleet, None
+        if aggregate:
+            # Expiry may be ignored here: the grouping lives only inside this
+            # horizon's solve, on a fleet already phased out for it.
+            work_fleet, agg_map = aggregate_build_years(
+                fleet, exempt_asset_ids(network), expiry_exact=False
+            )
+        problem = translate(network, work_fleet)
+        sense, epsilon, solved, solution, mu = step(problem, horizon, horizon == horizons[-1])
+        dispatch, values = None, {}
+        if solution.status == "optimal":
+            dispatch = extract(solved, solution)
+            if agg_map is not None:
+                dispatch = disaggregate(dispatch, agg_map)
+            values = dict(cost_eur=dispatch.objective, h2_mt=dispatch.target_value_mt, mu_raw=mu)
         record = PathwayRecord(
-            scenario_id=scenario_id,
-            horizon=network.horizon,
-            sense="optimal",
-            epsilon=None,
+            scenario_id=scenario.id,
+            horizon=horizon,
+            sense=sense,
+            epsilon=epsilon,
             status=solution.status,
+            **values,
         )
-        return record, None
-    dispatch = extract(problem, solution)
-    if agg_map is not None:
-        dispatch = disaggregate(dispatch, agg_map)
-    record = PathwayRecord(
-        scenario_id=scenario_id,
-        horizon=network.horizon,
-        sense="optimal",
-        epsilon=None,
-        status="optimal",
-        cost_eur=solution.objective,
-        h2_mt=dispatch.target_value_mt,
-        mu_raw=None,
-    )
-    return record, dispatch
+        prev = HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
+        steps.append(prev)
+        if dispatch is None:
+            break
+    return steps

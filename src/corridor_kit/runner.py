@@ -55,6 +55,12 @@ class RunManifest:
         return cls(**data)
 
 
+def _record_order(record: PathwayRecord) -> tuple:
+    """Canonical record order: scenario, horizon, sense, then slack (optimal first)."""
+    eps = -1.0 if record.epsilon is None else record.epsilon
+    return (record.scenario_id, record.horizon, record.sense, eps)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -64,7 +70,8 @@ def _fmt(value) -> str:
 
 
 class ResultsStore:
-    """Directory holding records.csv, the manifest and optional flow tables."""
+    """Directory holding records.csv, the manifest, optional flow tables and
+    the tracebacks of crashed scenarios (``errors/<scenario_id>.txt``)."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -75,14 +82,10 @@ class ResultsStore:
 
     def write_records(self, records: list[PathwayRecord]) -> None:
         self.path.mkdir(parents=True, exist_ok=True)
-        ordered = sorted(
-            records,
-            key=lambda r: (r.scenario_id, r.horizon, r.sense, -1.0 if r.epsilon is None else r.epsilon),
-        )
         with open(self.path / "records.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RECORD_COLUMNS)
-            for rec in ordered:
+            for rec in sorted(records, key=_record_order):
                 writer.writerow([_fmt(getattr(rec, col)) for col in RECORD_COLUMNS])
 
     def write_flows(self, key: str, flow_rows) -> None:
@@ -93,6 +96,11 @@ class ResultsStore:
             writer.writerow(["carrier", "bus", "asset_id", "instance_id", "annual_mwh"])
             for row in flow_rows:
                 writer.writerow([_fmt(v) for v in row])
+
+    def write_error(self, scenario_id: str, text: str) -> None:
+        errors_dir = self.path / "errors"
+        errors_dir.mkdir(parents=True, exist_ok=True)
+        (errors_dir / f"{scenario_id}.txt").write_text(text)
 
     def read_records(self) -> list[PathwayRecord]:
         out = []
@@ -256,6 +264,7 @@ def run_matrix(
     records: list[PathwayRecord] = []
     for outcome in outcomes:
         if outcome.error is not None:
+            logger.error("scenario %s crashed:\n%s", outcome.scenario_id, outcome.error)
             records.append(
                 PathwayRecord(
                     scenario_id=outcome.scenario_id,
@@ -267,12 +276,12 @@ def run_matrix(
             )
             continue
         records.extend(outcome.records)
-    records.sort(
-        key=lambda r: (r.scenario_id, r.horizon, r.sense, -1.0 if r.epsilon is None else r.epsilon)
-    )
+    records.sort(key=_record_order)
     if store is not None:
         store.write_records(records)
         for outcome in outcomes:
+            if outcome.error is not None:
+                store.write_error(outcome.scenario_id, outcome.error)
             for key in sorted(outcome.flows):
                 store.write_flows(key, outcome.flows[key])
     return records, store

@@ -202,26 +202,20 @@ class _Standardizer:
         # Shift finite lower bounds to zero; split free variables in two.
         self.shift = np.where(np.isfinite(problem.lb), problem.lb, 0.0)
         self.split: list[int] = [j for j in range(n) if not np.isfinite(problem.lb[j])]
-        cols = [a[:, j] for j in range(n)] + [-a[:, j] for j in self.split]
+        n_struct = n + len(self.split)
         costs = list(problem.c) + [-problem.c[j] for j in self.split]
 
-        rows = [a]
         b = list(problem.b - a @ self.shift)
         senses = list(problem.senses)
         # Finite upper bounds become explicit rows over the shifted variables.
         self.ub_rows: list[int] = []
         for j in range(n):
             if np.isfinite(problem.ub[j]):
-                row = np.zeros(len(cols))
-                row[j] = 1.0
-                if j in self.split:
-                    row[n + self.split.index(j)] = -1.0
-                rows.append(row.reshape(1, -1))
                 b.append(problem.ub[j] - self.shift[j])
                 senses.append("le")
                 self.ub_rows.append(j)
 
-        a_full = np.zeros((len(b), len(cols)))
+        a_full = np.zeros((len(b), n_struct))
         a_full[:m, :n] = a
         for k, j in enumerate(self.split):
             a_full[:m, n + k] = -a[:, j]
@@ -244,13 +238,12 @@ class _Standardizer:
         slack_cols = []
         for i, sense in enumerate(senses):
             if sense == "le":
-                slack_of_row[i] = len(cols) + len(slack_cols)
+                slack_of_row[i] = n_struct + len(slack_cols)
                 slack_cols.append((i, 1.0))
             elif sense == "ge":
-                slack_of_row[i] = len(cols) + len(slack_cols)
+                slack_of_row[i] = n_struct + len(slack_cols)
                 slack_cols.append((i, -1.0))
 
-        n_struct = len(cols)
         n_slack = len(slack_cols)
         self.a_std = np.zeros((len(b), n_struct + n_slack))
         self.a_std[:, :n_struct] = a_full

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import corridor_kit.mga as mga_mod
 from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.lp import LpBuilder
 from corridor_kit.mga import SlackSpec, add_cost_budget, extremize, run_extremal_pathway
@@ -8,7 +9,7 @@ from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_optim
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.network import build_network
 from corridor_kit.translate import translate
-from corridor_kit.simplex import solve
+from corridor_kit.simplex import LpSolution, solve
 
 
 def entry(build_year=2025, lifetime=20, capacity=100.0, asset="wind_n1"):
@@ -54,6 +55,28 @@ def test_carry_over_rejects_negative_builds(doc8, base_scenario):
 
     with pytest.raises(ValueError):
         carry_over(FakeResult(), Fleet(), net, 2035)
+
+
+def test_carry_over_drops_solver_noise(doc8, base_scenario):
+    net = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+
+    class FakeResult:
+        horizon = 2030
+        built_capacity = {"wind_n1": -1e-9}
+
+    assert len(carry_over(FakeResult(), Fleet(), net, 2035)) == 0
+
+
+def test_carry_over_without_expandable_assets(doc8, base_scenario):
+    net = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+
+    class FakeResult:
+        horizon = 2030
+        built_capacity = {}
+
+    fleet = Fleet((entry(2025, 20), entry(2015, 20, asset="wind_n2")))
+    assert list(carry_over(FakeResult(), fleet, net, 2035)) == list(phase_out(fleet, 2035))
+    assert len(carry_over(FakeResult(), fleet, net, 2035)) == 1
 
 
 def test_two_builds_same_asset_distinct_entries():
@@ -133,6 +156,29 @@ def test_infeasible_horizon_aborts_chain(doc8, base_scenario):
     steps = run_optimal_pathway(doc, [2030, 2035], base_scenario)
     assert steps[0].record.status == "infeasible"
     assert len(steps) == 1
+
+
+def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway, monkeypatch):
+    real = mga_mod.extremize
+    calls = []
+
+    def fail_second(problem, sense, options=None):
+        calls.append(sense)
+        if len(calls) == 2:
+            return LpSolution(status="infeasible"), None
+        return real(problem, sense, options)
+
+    monkeypatch.setattr(mga_mod, "extremize", fail_second)
+    recs = [s.record for s in base_pathway]
+    steps = run_extremal_pathway(
+        doc8, [2030, 2035, 2040], base_scenario, SlackSpec(0.05, "max"), recs
+    )
+    assert len(calls) == 2
+    assert [s.record.status for s in steps] == ["optimal", "infeasible"]
+    failed = steps[1]
+    assert failed.record.horizon == 2035 and failed.dispatch is None
+    assert failed.record.cost_eur is None and failed.record.h2_mt is None
+    assert failed.record.mu_raw is None
 
 
 # --- budget / extremization mechanics on hand-built LPs ---

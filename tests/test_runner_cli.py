@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_matrix_jobs_parallel_identical(doc8, tiny_scenarios, tmp_path):
     assert serial == parallel
 
 
-def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch):
+def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch, caplog):
     real = runner_mod.run_scenario
 
     def sabotaged(document, scenario, *args, **kwargs):
@@ -67,14 +68,17 @@ def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch):
         return real(document, scenario, *args, **kwargs)
 
     monkeypatch.setattr(runner_mod, "run_scenario", sabotaged)
-    records, store = run_matrix(
-        doc8, tiny_scenarios, [0.05], [2030], jobs=1, out_dir=tmp_path / "crash"
-    )
+    with caplog.at_level(logging.ERROR, logger="corridor_kit.runner"):
+        records, store = run_matrix(
+            doc8, tiny_scenarios, [0.05], [2030], jobs=1, out_dir=tmp_path / "crash"
+        )
     crashed = [r for r in records if r.status == "worker_error"]
     assert len(crashed) == 1 and crashed[0].scenario_id == tiny_scenarios[0].id
     healthy = [r for r in records if r.scenario_id != tiny_scenarios[0].id]
     assert healthy and all(r.status == "optimal" for r in healthy)
     assert store.read_records() == records
+    assert tiny_scenarios[0].id in caplog.text and "boom" in caplog.text
+    assert "boom" in (store.path / "errors" / f"{tiny_scenarios[0].id}.txt").read_text()
 
 
 def write_tiny_inputs(tmp_path, doc8):
