@@ -10,7 +10,9 @@ sequence.
 
 The horizon loop (phase-out, carry-over, build, translate, extract) lives
 in :mod:`corridor_kit.pathway`; this module supplies only the budgeted
-per-horizon step that replaces the cost-optimal solve.
+per-horizon step that replaces the cost-optimal solve.  Each horizon's
+network is taken from the optimal pathway's step, so a (scenario, horizon)
+network is built once for all its pathways.
 
 The reported ranges are conservative: the extremum at horizon ``i`` is taken
 over solutions reachable from this lineage's predecessor only, whereas the
@@ -26,7 +28,7 @@ import numpy as np
 
 from .fleet import Fleet
 from .lp import LpProblem
-from .pathway import HorizonStep, PathwayRecord, _run_chain
+from .pathway import HorizonStep, _run_chain
 from .scenarios import Scenario
 from .simplex import SolverOptions, solve
 
@@ -133,31 +135,35 @@ def run_extremal_pathway(
     horizons: list[int],
     scenario: Scenario,
     slack: SlackSpec,
-    optimal_records: list[PathwayRecord],
+    optimal_steps: list[HorizonStep],
     initial_fleet: Fleet | None = None,
     solver_options: SolverOptions | None = None,
     aggregate: bool = False,
 ) -> list[HorizonStep]:
     """Extremal sequence along its own lineage, budgeted by the optimal one.
 
-    ``optimal_records`` must cover every requested horizon with an optimal
-    status; a failed extremization is recorded and aborts the chain.
+    ``optimal_steps`` is the cost-optimal chain of the same scenario; it must
+    cover every requested horizon with an optimal record, whose cost is that
+    horizon's ``c_star`` and whose network is reused rather than rebuilt.  A
+    failed extremization is recorded and aborts the chain.
     """
-    c_star_of = {
-        rec.horizon: rec.cost_eur
-        for rec in optimal_records
-        if rec.sense == "optimal" and rec.status == "optimal"
+    optimal_of = {
+        s.record.horizon: s
+        for s in optimal_steps
+        if s.record.sense == "optimal" and s.record.status == "optimal"
     }
     for horizon in horizons:
-        if horizon not in c_star_of:
+        if horizon not in optimal_of:
             raise ValueError(f"no optimal-cost record for horizon {horizon}")
 
     def step(problem, horizon, is_last):
-        budgeted = add_cost_budget(problem, problem.c, c_star_of[horizon], slack.epsilon)
+        c_star = optimal_of[horizon].record.cost_eur
+        budgeted = add_cost_budget(problem, problem.c, c_star, slack.epsilon)
         solution, mu = extremize(budgeted, slack.sense, solver_options)
         if solution.status == "optimal" and not is_last:
             # The tie-break matters only for the fleet the next horizon inherits.
             solution = _cheapest_representative(budgeted, solution, slack.sense, solver_options)
         return slack.sense, slack.epsilon, budgeted, solution, mu
 
-    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)
+    networks = {horizon: optimal_of[horizon].network for horizon in horizons}
+    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks)

@@ -4,7 +4,8 @@ Each planning horizon is optimized without foresight of later ones; unexpired
 capacity built at earlier horizons is carried forward with parameters frozen
 as built, and assets at the end of their lifetime are phased out.  The same
 horizon loop drives the min/max pathways of :mod:`corridor_kit.mga`, which
-supply only a budgeted per-horizon solve.
+supply only a budgeted per-horizon solve and reuse the optimal chain's
+networks.
 """
 
 from __future__ import annotations
@@ -118,13 +119,15 @@ def run_optimal_pathway(
     return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)
 
 
-def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate):
+def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks=None):
     """The myopic horizon loop shared by the optimal and the min/max pathways.
 
     ``step(problem, horizon, is_last)`` solves one horizon's translated LP and
     returns ``(sense, epsilon, solved_problem, solution, mu)``; the dispatch is
     extracted from ``solved_problem``, whose cost vector prices ``cost_eur``.
-    A non-optimal solution is recorded and aborts the chain.
+    A non-optimal solution is recorded and aborts the chain.  ``networks``
+    maps each horizon to its already built and scenario-applied network;
+    without it each horizon's network is built here.
     """
     steps: list[HorizonStep] = []
     fleet = initial_fleet if initial_fleet is not None else fleet_from_document(document)
@@ -134,7 +137,10 @@ def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate):
             fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
         else:
             fleet = phase_out(fleet, horizon)
-        network = apply_scenario(build_network(document, horizon), scenario, horizon)
+        if networks is not None:
+            network = networks[horizon]
+        else:
+            network = apply_scenario(build_network(document, horizon), scenario, horizon)
         work_fleet, agg_map = fleet, None
         if aggregate:
             # Expiry may be ignored here: the grouping lives only inside this

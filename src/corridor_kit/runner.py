@@ -3,7 +3,9 @@
 Scenarios are independent and run in a bounded worker pool; a single
 collector in the parent process orders and writes all records, so stores are
 byte-identical regardless of the worker count.  Failed solves are first-class
-records, and a crashed worker poisons only its own scenario.
+records, and a crash in a worker costs only the pathway chain it was running:
+that chain becomes one ``worker_error`` record, and the scenario's finished
+chains are kept.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ class ScenarioOutcome:
     records: list = field(default_factory=list)
     flows: dict = field(default_factory=dict)  # key -> flow rows
     error: str | None = None
+    chain: tuple | None = None  # (sense, epsilon, first horizon) of the chain being run
 
 
 def _flow_key(record: PathwayRecord) -> str:
@@ -145,9 +148,16 @@ def run_scenario(
     flows: bool = False,
     solver_options: SolverOptions | None = None,
     aggregate: bool = True,
+    outcome: ScenarioOutcome | None = None,
 ) -> ScenarioOutcome:
-    """Optimal pathway, then min and max pathways per slack level."""
-    outcome = ScenarioOutcome(scenario_id=scenario.id)
+    """Optimal pathway, then min and max pathways per slack level.
+
+    Records and flows are added to ``outcome`` chain by chain, and
+    ``outcome.chain`` names the chain being run, so a caller that owns the
+    outcome keeps every finished chain when a later one raises.
+    """
+    if outcome is None:
+        outcome = ScenarioOutcome(scenario_id=scenario.id)
 
     def collect(steps: list[HorizonStep]):
         for step in steps:
@@ -155,22 +165,23 @@ def run_scenario(
             if flows and step.dispatch is not None:
                 outcome.flows[_flow_key(step.record)] = step.dispatch.flow_rows
 
+    outcome.chain = ("optimal", None, min(horizons))
     optimal = run_optimal_pathway(
         document, list(horizons), scenario, solver_options=solver_options, aggregate=aggregate
     )
     collect(optimal)
-    optimal_records = [s.record for s in optimal]
-    covered = [h for h in horizons if any(r.horizon == h and r.status == "optimal" for r in optimal_records)]
+    covered = [s.record.horizon for s in optimal if s.record.status == "optimal"]
     if not covered:
         return outcome
     for epsilon in sorted(epsilons):
         for sense in ("min", "max"):
+            outcome.chain = (sense, epsilon, covered[0])
             steps = run_extremal_pathway(
                 document,
                 covered,
                 scenario,
                 SlackSpec(epsilon, sense),
-                optimal_records,
+                optimal,
                 solver_options=solver_options,
                 aggregate=aggregate,
             )
@@ -211,10 +222,22 @@ def _log_nesting_violations(records: list[PathwayRecord], horizons) -> None:
 
 def _worker(args) -> ScenarioOutcome:
     document, scenario, epsilons, horizons, flows, options, aggregate = args
+    outcome = ScenarioOutcome(scenario_id=scenario.id, chain=("optimal", None, min(horizons)))
     try:
-        return run_scenario(document, scenario, epsilons, horizons, flows, options, aggregate)
-    except Exception:  # crash isolates to this scenario
-        return ScenarioOutcome(scenario_id=scenario.id, error=traceback.format_exc())
+        return run_scenario(document, scenario, epsilons, horizons, flows, options, aggregate, outcome)
+    except Exception:  # the crashed chain becomes one record; finished chains are kept
+        outcome.error = traceback.format_exc()
+        sense, epsilon, horizon = outcome.chain
+        outcome.records.append(
+            PathwayRecord(
+                scenario_id=scenario.id,
+                horizon=horizon,
+                sense=sense,
+                epsilon=epsilon,
+                status="worker_error",
+            )
+        )
+        return outcome
 
 
 def run_matrix(
@@ -265,16 +288,6 @@ def run_matrix(
     for outcome in outcomes:
         if outcome.error is not None:
             logger.error("scenario %s crashed:\n%s", outcome.scenario_id, outcome.error)
-            records.append(
-                PathwayRecord(
-                    scenario_id=outcome.scenario_id,
-                    horizon=min(horizons),
-                    sense="optimal",
-                    epsilon=None,
-                    status="worker_error",
-                )
-            )
-            continue
         records.extend(outcome.records)
     records.sort(key=_record_order)
     if store is not None:

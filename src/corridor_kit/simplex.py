@@ -75,81 +75,63 @@ def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
     normalized by ``1 + |b_i| + |A_i||x| + ||x||_inf`` and bound violations by
     ``1 + |bound| + ||x||_inf``, so a residual only counts when it is
     meaningful against the magnitudes the arithmetic actually carried.
+    Products with the matrix run over its triplets; no dense copy is built.
     """
     x, y = solution.x, solution.y
     if x is None or y is None:
         raise ValueError("solution carries no primal/dual values to verify")
     if x.size != problem.n or y.size != problem.m:
         raise ValueError("solution dimensions do not match the problem")
-    a = problem.dense()
-    ax = a @ x if problem.m else np.zeros(0)
-    activity = np.abs(a) @ np.abs(x) if problem.m else np.zeros(0)
-    xscale = float(np.max(np.abs(x))) if x.size else 0.0
+    m, n = problem.m, problem.n
+    rows, cols, vals = problem.a_rows, problem.a_cols, problem.a_vals
+    b, c, lb, ub = problem.b, problem.c, problem.lb, problem.ub
+    senses = np.asarray(problem.senses, dtype=str)
+    le, ge = senses == "le", senses == "ge"
+    fin_lo, fin_hi = np.isfinite(lb), np.isfinite(ub)
+    lo, hi = np.where(fin_lo, lb, 0.0), np.where(fin_hi, ub, 0.0)
+    lo_scale, hi_scale = 1.0 + np.abs(lo), 1.0 + np.abs(hi)
 
-    primal = 0.0
-    for i in range(problem.m):
-        resid = ax[i] - problem.b[i]
-        sense = problem.senses[i]
-        if sense == "le":
-            viol = max(0.0, resid)
-        elif sense == "ge":
-            viol = max(0.0, -resid)
-        else:
-            viol = abs(resid)
-        primal = max(primal, viol / (1.0 + abs(problem.b[i]) + activity[i] + xscale))
-    for j in range(problem.n):
-        if np.isfinite(problem.lb[j]):
-            primal = max(primal, (problem.lb[j] - x[j]) / (1.0 + abs(problem.lb[j]) + xscale))
-        if np.isfinite(problem.ub[j]):
-            primal = max(primal, (x[j] - problem.ub[j]) / (1.0 + abs(problem.ub[j]) + xscale))
-    primal = max(primal, 0.0)
+    ax = np.bincount(rows, weights=vals * x[cols], minlength=m)
+    activity = np.bincount(rows, weights=np.abs(vals) * np.abs(x[cols]), minlength=m)
+    xscale = float(np.abs(x).max(initial=0.0))
 
-    z = problem.c - (a.T @ y if problem.m else 0.0)
-    obj = float(problem.c @ x)
+    resid = ax - b
+    viol = np.where(le, np.maximum(resid, 0.0), np.where(ge, np.maximum(-resid, 0.0), np.abs(resid)))
+    primal = _worst(
+        viol / (1.0 + np.abs(b) + activity + xscale),
+        ((lo - x) / (lo_scale + xscale))[fin_lo],
+        ((x - hi) / (hi_scale + xscale))[fin_hi],
+    )
+
+    z = c - np.bincount(cols, weights=vals * y[rows], minlength=n)
+    obj = float(c @ x)
     scale = 1.0 + abs(obj)
 
-    dual = 0.0
-    for i in range(problem.m):
-        if problem.senses[i] == "le":
-            dual = max(dual, y[i] / (1.0 + abs(y[i])))
-        elif problem.senses[i] == "ge":
-            dual = max(dual, -y[i] / (1.0 + abs(y[i])))
-    for j in range(problem.n):
-        lo, hi = problem.lb[j], problem.ub[j]
-        at_lo = np.isfinite(lo) and x[j] <= lo + 1e-7 * (1 + abs(lo))
-        at_hi = np.isfinite(hi) and x[j] >= hi - 1e-7 * (1 + abs(hi))
-        zj = z[j] / (1.0 + abs(problem.c[j]))
-        if at_lo and at_hi:
-            continue  # fixed variable, any sign admissible
-        if at_lo:
-            dual = max(dual, -zj)
-        elif at_hi:
-            dual = max(dual, zj)
-        else:
-            dual = max(dual, abs(zj))
-    dual = max(dual, 0.0)
+    y_rel = y / (1.0 + np.abs(y))
+    at_lo = fin_lo & (x <= lo + 1e-7 * lo_scale)
+    at_hi = fin_hi & (x >= hi - 1e-7 * hi_scale)
+    zj = z / (1.0 + np.abs(c))
+    # A fixed variable (at both bounds) admits any sign.
+    z_viol = np.where(at_lo, -zj, np.where(at_hi, zj, np.abs(zj)))[~(at_lo & at_hi)]
+    dual = _worst(y_rel[le], -y_rel[ge], z_viol)
 
-    comp = 0.0
-    for i in range(problem.m):
-        if problem.senses[i] != "eq":
-            comp = max(comp, abs(y[i] * (ax[i] - problem.b[i])) / scale)
-    for j in range(problem.n):
-        lo, hi = problem.lb[j], problem.ub[j]
-        gap_lo = x[j] - lo if np.isfinite(lo) else np.inf
-        gap_hi = hi - x[j] if np.isfinite(hi) else np.inf
-        slack = min(gap_lo, gap_hi)
-        if np.isfinite(slack):
-            comp = max(comp, abs(z[j] * slack) / scale)
+    slack = np.minimum(np.where(fin_lo, x - lo, np.inf), np.where(fin_hi, hi - x, np.inf))
+    bounded = np.isfinite(slack)
+    comp = _worst(
+        (np.abs(y * resid) / scale)[senses != "eq"],
+        np.abs(z[bounded] * slack[bounded]) / scale,
+    )
 
-    dual_obj = float(y @ problem.b) if problem.m else 0.0
-    for j in range(problem.n):
-        if z[j] > 0 and np.isfinite(problem.lb[j]):
-            dual_obj += z[j] * problem.lb[j]
-        elif z[j] < 0 and np.isfinite(problem.ub[j]):
-            dual_obj += z[j] * problem.ub[j]
+    bound_terms = np.where((z > 0) & fin_lo, z * lo, np.where((z < 0) & fin_hi, z * hi, 0.0))
+    dual_obj = float(y @ b) + float(np.sum(bound_terms))
     gap = abs(obj - dual_obj) / (1.0 + abs(obj))
 
     return ResidualReport(primal=primal, dual=dual, complementarity=comp, gap=gap)
+
+
+def _worst(*parts: np.ndarray) -> float:
+    """Largest entry over all parts, and at least 0."""
+    return float(np.concatenate(parts).max(initial=0.0))
 
 
 def _refined_solve(a: np.ndarray, b: np.ndarray, steps: int = 2) -> np.ndarray:
@@ -192,83 +174,71 @@ def _solve_unconstrained(problem: LpProblem) -> LpSolution:
 
 
 class _Standardizer:
-    """Conversion to equality form with nonnegative variables and scaled rows."""
+    """Conversion to equality form with nonnegative variables and scaled rows.
+
+    The dense standard-form matrix is filled straight from the problem's
+    triplets; every entry is the one a row-by-row construction would give.
+    """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
         n, m = problem.n, problem.m
-        a = problem.dense()
+        lb, ub = problem.lb, problem.ub
 
         # Shift finite lower bounds to zero; split free variables in two.
-        self.shift = np.where(np.isfinite(problem.lb), problem.lb, 0.0)
-        self.split: list[int] = [j for j in range(n) if not np.isfinite(problem.lb[j])]
-        n_struct = n + len(self.split)
-        costs = list(problem.c) + [-problem.c[j] for j in self.split]
+        self.shift = np.where(np.isfinite(lb), lb, 0.0)
+        self.split = np.flatnonzero(~np.isfinite(lb))
+        n_struct = n + self.split.size
+        # Finite upper bounds become explicit "le" rows over the shifted variables.
+        ub_rows = np.flatnonzero(np.isfinite(ub))
+        n_ub = ub_rows.size
+        m_std = m + n_ub
 
-        b = list(problem.b - a @ self.shift)
-        senses = list(problem.senses)
-        # Finite upper bounds become explicit rows over the shifted variables.
-        self.ub_rows: list[int] = []
-        for j in range(n):
-            if np.isfinite(problem.ub[j]):
-                b.append(problem.ub[j] - self.shift[j])
-                senses.append("le")
-                self.ub_rows.append(j)
+        senses = np.concatenate([np.asarray(problem.senses, dtype=str), np.full(n_ub, "le")])
+        is_le = senses == "le"
+        slack_rows = np.flatnonzero(is_le | (senses == "ge"))
+        n_slack = slack_rows.size
+        a_std = np.zeros((m_std, n_struct + n_slack))
+        np.add.at(a_std, (problem.a_rows, problem.a_cols), problem.a_vals)
+        a_std[:m, n:n_struct] = -a_std[:m, self.split]
+        mirror = np.full(n, -1)
+        mirror[self.split] = np.arange(n, n_struct)
+        ub_pos = m + np.arange(n_ub)
+        a_std[ub_pos, ub_rows] = 1.0
+        free = mirror[ub_rows] >= 0
+        a_std[ub_pos[free], mirror[ub_rows[free]]] = -1.0
 
-        a_full = np.zeros((len(b), n_struct))
-        a_full[:m, :n] = a
-        for k, j in enumerate(self.split):
-            a_full[:m, n + k] = -a[:, j]
-        for k, j in enumerate(self.ub_rows):
-            a_full[m + k, j] = 1.0
-            if j in self.split:
-                a_full[m + k, n + self.split.index(j)] = -1.0
+        # A contiguous copy, so the product rounds as it does over LpProblem.dense().
+        b = problem.b - np.ascontiguousarray(a_std[:m, :n]) @ self.shift
+        b = np.concatenate([b, ub[ub_rows] - self.shift[ub_rows]])
 
         # Row equilibration with powers of two keeps the arithmetic exact.
-        self.row_scale = np.ones(len(b))
-        for i in range(len(b)):
-            mx = np.max(np.abs(a_full[i])) if a_full.shape[1] else 0.0
-            if mx > 0:
-                self.row_scale[i] = 2.0 ** np.round(np.log2(mx))
-        a_full = a_full / self.row_scale[:, None]
-        b_arr = np.asarray(b) / self.row_scale
+        structural = a_std[:, :n_struct]
+        mx = np.max(np.abs(structural), axis=1)
+        self.row_scale = np.ones(m_std)
+        scaled = mx > 0
+        self.row_scale[scaled] = 2.0 ** np.round(np.log2(mx[scaled]))
+        structural /= self.row_scale[:, None]
+        b_arr = b / self.row_scale
 
         # Slack columns for inequality rows.
-        slack_of_row = {}
-        slack_cols = []
-        for i, sense in enumerate(senses):
-            if sense == "le":
-                slack_of_row[i] = n_struct + len(slack_cols)
-                slack_cols.append((i, 1.0))
-            elif sense == "ge":
-                slack_of_row[i] = n_struct + len(slack_cols)
-                slack_cols.append((i, -1.0))
-
-        n_slack = len(slack_cols)
-        self.a_std = np.zeros((len(b), n_struct + n_slack))
-        self.a_std[:, :n_struct] = a_full
-        for k, (i, sgn) in enumerate(slack_cols):
-            self.a_std[i, n_struct + k] = sgn
-        self.c_std = np.concatenate([np.asarray(costs, dtype=float), np.zeros(n_slack)])
+        slack_cols = n_struct + np.arange(n_slack)
+        a_std[slack_rows, slack_cols] = np.where(is_le[slack_rows], 1.0, -1.0)
+        self.slack_of_row = dict(zip(slack_rows.tolist(), slack_cols.tolist()))
+        self.c_std = np.concatenate([problem.c, -problem.c[self.split], np.zeros(n_slack)])
 
         # Flip rows so the right-hand side is nonnegative.
         self.flip = np.where(b_arr < 0, -1.0, 1.0)
-        self.a_std *= self.flip[:, None]
+        a_std *= self.flip[:, None]
+        self.a_std = a_std
         self.b_std = b_arr * self.flip
 
         self.n_orig = n
-        self.n_struct = n_struct
-        self.m_std = len(b)
         self.m_orig = m
-        self.slack_of_row = slack_of_row
-        self.slack_sign_after_flip = {
-            n_struct + k: sgn * self.flip[i] for k, (i, sgn) in enumerate(slack_cols)
-        }
 
     def recover_x(self, x_std: np.ndarray) -> np.ndarray:
         x = x_std[: self.n_orig].copy()
-        for k, j in enumerate(self.split):
-            x[j] -= x_std[self.n_orig + k]
+        x[self.split] -= x_std[self.n_orig : self.n_orig + self.split.size]
         return x + self.shift
 
     def recover_y(self, y_std: np.ndarray) -> np.ndarray:
@@ -362,6 +332,22 @@ def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: Solve
     return sol
 
 
+def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Initial basis positions held by usable slack columns, -1 elsewhere.
+
+    A usable slack is a zero-cost unit column whose one entry is +1; where
+    several share a row, the lowest column index takes it.
+    """
+    basis = np.full(a.shape[0], -1, dtype=np.int64)
+    nonzero = a != 0
+    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (c == 0.0))
+    unit_row = np.argmax(nonzero[:, unit], axis=0)
+    usable = a[unit_row, unit] == 1.0
+    claimed, first = np.unique(unit_row[usable], return_index=True)
+    basis[claimed] = unit[usable][first]
+    return basis
+
+
 class _SimplexCore:
     """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``."""
 
@@ -379,24 +365,14 @@ class _SimplexCore:
 
         # Initial basis: reuse slack columns where they enter positively,
         # add artificial columns elsewhere.
-        basis = np.full(m, -1, dtype=np.int64)
+        basis = _slack_basis(self.a, self.c)
         a_work = self.a
-        # Identify usable slack columns (zero-cost unit column with +1 entry).
-        col_nnz = (self.a != 0).sum(axis=0)
-        for j in range(n):
-            if col_nnz[j] == 1:
-                i = int(np.argmax(self.a[:, j] != 0))
-                if self.a[i, j] == 1.0 and basis[i] == -1 and self.c[j] == 0.0:
-                    basis[i] = j
-        n_art = int((basis == -1).sum())
+        missing = np.flatnonzero(basis == -1)
+        n_art = missing.size
         if n_art:
             art = np.zeros((m, n_art))
-            k = 0
-            for i in range(m):
-                if basis[i] == -1:
-                    art[i, k] = 1.0
-                    basis[i] = n + k
-                    k += 1
+            art[missing, np.arange(n_art)] = 1.0
+            basis[missing] = n + np.arange(n_art)
             a_work = np.concatenate([self.a, art], axis=1)
         self.a_work = a_work
         self.basis = basis
@@ -451,19 +427,19 @@ class _SimplexCore:
     def _drive_out_artificials(self):
         """Pivot basic artificials out wherever a structural pivot exists."""
         tol = 1e-7
+        eligible = self.allowed & ~self.is_artificial
+        eligible[self.basis] = False
         for pos in range(self.m):
             if not self.is_artificial[self.basis[pos]]:
                 continue
             row = self.b_inv[pos] @ self.a_work
-            candidates = np.nonzero(
-                (np.abs(row) > tol) & self.allowed & ~self.is_artificial
-            )[0]
-            candidates = [j for j in candidates if j not in set(self.basis.tolist())]
-            if not candidates:
+            candidates = np.flatnonzero((np.abs(row) > tol) & eligible)
+            if not candidates.size:
                 continue  # redundant row; artificial stays basic at zero
             j = int(candidates[0])
             d = self.b_inv @ self.a_work[:, j]
             self._pivot(pos, j, d)
+            eligible[j] = False
 
     def _pivot(self, row: int, col: int, d: np.ndarray, clamp: bool = True):
         piv = d[row]

@@ -6,6 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # Derandomized, so that every run of the suite draws the same examples.
+    settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+    settings.load_profile("tier1")
+
 from corridor_kit.fixture import fixture_document
 from corridor_kit.reduction import reduce_document
 from corridor_kit.runner import run_matrix

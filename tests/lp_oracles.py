@@ -1,4 +1,9 @@
-"""Independent brute-force oracles for small LPs used across the test suite."""
+"""Independent oracles for small LPs used across the test suite.
+
+Besides the brute-force vertex enumeration, this keeps the row-by-row
+reference versions of KKT verification and standardization, against which
+the vectorized ones in :mod:`corridor_kit.simplex` are property-tested.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import itertools
 import numpy as np
 
 from corridor_kit.lp import LpProblem
+from corridor_kit.simplex import ResidualReport
 
 
 def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
@@ -108,3 +114,138 @@ def random_problem(rng: np.random.Generator, n_vars: int, n_rows: int, bounded: 
         row_labels=[f"r{i}" for i in range(n_rows)],
         col_labels=[f"x{j}" for j in range(n_vars)],
     )
+
+
+def loop_verify_kkt(problem: LpProblem, solution) -> ResidualReport:
+    """Row-by-row KKT residuals over the dense matrix: the oracle for ``verify_kkt``."""
+    x, y = solution.x, solution.y
+    a = problem.dense()
+    ax = a @ x if problem.m else np.zeros(0)
+    activity = np.abs(a) @ np.abs(x) if problem.m else np.zeros(0)
+    xscale = float(np.max(np.abs(x))) if x.size else 0.0
+
+    primal = 0.0
+    for i in range(problem.m):
+        resid = ax[i] - problem.b[i]
+        sense = problem.senses[i]
+        if sense == "le":
+            viol = max(0.0, resid)
+        elif sense == "ge":
+            viol = max(0.0, -resid)
+        else:
+            viol = abs(resid)
+        primal = max(primal, viol / (1.0 + abs(problem.b[i]) + activity[i] + xscale))
+    for j in range(problem.n):
+        if np.isfinite(problem.lb[j]):
+            primal = max(primal, (problem.lb[j] - x[j]) / (1.0 + abs(problem.lb[j]) + xscale))
+        if np.isfinite(problem.ub[j]):
+            primal = max(primal, (x[j] - problem.ub[j]) / (1.0 + abs(problem.ub[j]) + xscale))
+    primal = max(primal, 0.0)
+
+    z = problem.c - (a.T @ y if problem.m else 0.0)
+    obj = float(problem.c @ x)
+    scale = 1.0 + abs(obj)
+
+    dual = 0.0
+    for i in range(problem.m):
+        if problem.senses[i] == "le":
+            dual = max(dual, y[i] / (1.0 + abs(y[i])))
+        elif problem.senses[i] == "ge":
+            dual = max(dual, -y[i] / (1.0 + abs(y[i])))
+    for j in range(problem.n):
+        lo, hi = problem.lb[j], problem.ub[j]
+        at_lo = np.isfinite(lo) and x[j] <= lo + 1e-7 * (1 + abs(lo))
+        at_hi = np.isfinite(hi) and x[j] >= hi - 1e-7 * (1 + abs(hi))
+        zj = z[j] / (1.0 + abs(problem.c[j]))
+        if at_lo and at_hi:
+            continue
+        if at_lo:
+            dual = max(dual, -zj)
+        elif at_hi:
+            dual = max(dual, zj)
+        else:
+            dual = max(dual, abs(zj))
+    dual = max(dual, 0.0)
+
+    comp = 0.0
+    for i in range(problem.m):
+        if problem.senses[i] != "eq":
+            comp = max(comp, abs(y[i] * (ax[i] - problem.b[i])) / scale)
+    for j in range(problem.n):
+        lo, hi = problem.lb[j], problem.ub[j]
+        gap_lo = x[j] - lo if np.isfinite(lo) else np.inf
+        gap_hi = hi - x[j] if np.isfinite(hi) else np.inf
+        slack = min(gap_lo, gap_hi)
+        if np.isfinite(slack):
+            comp = max(comp, abs(z[j] * slack) / scale)
+
+    dual_obj = float(y @ problem.b) if problem.m else 0.0
+    for j in range(problem.n):
+        if z[j] > 0 and np.isfinite(problem.lb[j]):
+            dual_obj += z[j] * problem.lb[j]
+        elif z[j] < 0 and np.isfinite(problem.ub[j]):
+            dual_obj += z[j] * problem.ub[j]
+    gap = abs(obj - dual_obj) / (1.0 + abs(obj))
+
+    return ResidualReport(primal=primal, dual=dual, complementarity=comp, gap=gap)
+
+
+class LoopStandardizer:
+    """Row-by-row conversion to scaled equality form: the oracle for ``_Standardizer``."""
+
+    def __init__(self, problem: LpProblem):
+        n, m = problem.n, problem.m
+        a = problem.dense()
+
+        self.shift = np.where(np.isfinite(problem.lb), problem.lb, 0.0)
+        self.split = [j for j in range(n) if not np.isfinite(problem.lb[j])]
+        n_struct = n + len(self.split)
+        costs = list(problem.c) + [-problem.c[j] for j in self.split]
+
+        b = list(problem.b - a @ self.shift)
+        senses = list(problem.senses)
+        self.ub_rows = []
+        for j in range(n):
+            if np.isfinite(problem.ub[j]):
+                b.append(problem.ub[j] - self.shift[j])
+                senses.append("le")
+                self.ub_rows.append(j)
+
+        a_full = np.zeros((len(b), n_struct))
+        a_full[:m, :n] = a
+        for k, j in enumerate(self.split):
+            a_full[:m, n + k] = -a[:, j]
+        for k, j in enumerate(self.ub_rows):
+            a_full[m + k, j] = 1.0
+            if j in self.split:
+                a_full[m + k, n + self.split.index(j)] = -1.0
+
+        self.row_scale = np.ones(len(b))
+        for i in range(len(b)):
+            mx = np.max(np.abs(a_full[i])) if a_full.shape[1] else 0.0
+            if mx > 0:
+                self.row_scale[i] = 2.0 ** np.round(np.log2(mx))
+        a_full = a_full / self.row_scale[:, None]
+        b_arr = np.asarray(b) / self.row_scale
+
+        slack_of_row = {}
+        slack_cols = []
+        for i, sense in enumerate(senses):
+            if sense == "le":
+                slack_of_row[i] = n_struct + len(slack_cols)
+                slack_cols.append((i, 1.0))
+            elif sense == "ge":
+                slack_of_row[i] = n_struct + len(slack_cols)
+                slack_cols.append((i, -1.0))
+
+        n_slack = len(slack_cols)
+        self.a_std = np.zeros((len(b), n_struct + n_slack))
+        self.a_std[:, :n_struct] = a_full
+        for k, (i, sgn) in enumerate(slack_cols):
+            self.a_std[i, n_struct + k] = sgn
+        self.c_std = np.concatenate([np.asarray(costs, dtype=float), np.zeros(n_slack)])
+
+        self.flip = np.where(b_arr < 0, -1.0, 1.0)
+        self.a_std *= self.flip[:, None]
+        self.b_std = b_arr * self.flip
+        self.slack_of_row = slack_of_row

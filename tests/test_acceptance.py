@@ -94,7 +94,7 @@ def test_criterion_02_mga_exact_at_zero_slack(doc8, base_scenario):
     assert all(r.status == "optimal" for r in recs)
     worst = 0.0
     for sense in ("min", "max"):
-        steps = run_extremal_pathway(doc8, HORIZONS, base_scenario, SlackSpec(0.0, sense), recs)
+        steps = run_extremal_pathway(doc8, HORIZONS, base_scenario, SlackSpec(0.0, sense), optimal)
         assert len(steps) == len(HORIZONS)
         for step in steps:
             assert step.record.status == "optimal"
@@ -110,11 +110,10 @@ def test_criterion_02_mga_exact_at_zero_slack(doc8, base_scenario):
 
 def test_criterion_03_epsilon_nesting_first_horizon(doc8, base_scenario):
     optimal = run_optimal_pathway(doc8, [2030], base_scenario)
-    recs = [s.record for s in optimal]
     maxima, minima = [], []
     for eps in (0.02, 0.05, 0.10):
-        up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "max"), recs)
-        dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "min"), recs)
+        up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "max"), optimal)
+        dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "min"), optimal)
         assert up[0].record.status == dn[0].record.status == "optimal"
         maxima.append(up[0].record.h2_mt)
         minima.append(dn[0].record.h2_mt)

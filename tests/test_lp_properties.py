@@ -1,0 +1,83 @@
+"""Property tests: vectorized standardization and KKT residuals against the loop oracles."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from corridor_kit.lp import LpProblem
+from corridor_kit.simplex import LpSolution, _Standardizer, solve, verify_kkt
+
+from lp_oracles import LoopStandardizer, loop_verify_kkt
+
+bound = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+def coefficients(low: float, high: float):
+    magnitude = st.floats(low, high)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+
+
+@st.composite
+def lps(draw, coeff=coefficients(1e-6, 1e6)):
+    """Small LPs with free variables, finite bounds, negative right-hand sides and all senses."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(coeff, min_size=m * n, max_size=m * n))).reshape(m, n)
+    rows, cols = np.nonzero(a)
+    lb = np.array([draw(st.one_of(st.just(0.0), st.just(-np.inf), bound)) for _ in range(n)])
+    ub = np.array(
+        [draw(st.one_of(st.just(np.inf), st.floats(0.0, 6.0))) + (0.0 if np.isinf(lo) else lo) for lo in lb]
+    )
+    return LpProblem(
+        c=np.array(draw(st.lists(coeff, min_size=n, max_size=n))),
+        a_rows=rows.astype(np.int64),
+        a_cols=cols.astype(np.int64),
+        a_vals=a[rows, cols],
+        senses=draw(st.lists(st.sampled_from(["le", "eq", "ge"]), min_size=m, max_size=m)),
+        b=np.array(draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=m, max_size=m))),
+        lb=lb,
+        ub=ub,
+        row_labels=[f"r{i}" for i in range(m)],
+        col_labels=[f"x{j}" for j in range(n)],
+    )
+
+
+@given(lps())
+def test_standardizer_bit_identical_to_loop_oracle(problem):
+    fast, loop = _Standardizer(problem), LoopStandardizer(problem)
+    for name in ("a_std", "b_std", "c_std", "row_scale", "flip"):
+        got, want = getattr(fast, name), getattr(loop, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert fast.slack_of_row == loop.slack_of_row
+
+
+# The residuals sum the same products in another order than the dense
+# matrix-vector products of the oracle, so they differ by rounding of order
+# 1e-16 * sum |a_ij y_i|.  Coefficients within [1/8, 8] in magnitude keep that
+# below the 1e-12 absolute tolerance; at 1e-6..1e6 it reaches 2e-12.
+well_scaled = lps(coeff=coefficients(0.125, 8.0))
+
+
+def _assert_residuals_agree(problem, solution):
+    got, want = verify_kkt(problem, solution), loop_verify_kkt(problem, solution)
+    for name in ("primal", "dual", "complementarity", "gap"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert abs(g - w) <= 1e-12 + 1e-9 * abs(w), (name, g, w)
+
+
+@given(well_scaled, st.data())
+def test_verify_kkt_matches_loop_oracle_on_any_point(problem, data):
+    point = st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=problem.n, max_size=problem.n)
+    duals = st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=problem.m, max_size=problem.m)
+    solution = LpSolution(status="optimal", x=np.array(data.draw(point)), y=np.array(data.draw(duals)))
+    _assert_residuals_agree(problem, solution)
+
+
+@given(well_scaled)
+def test_verify_kkt_matches_loop_oracle_on_solver_output(problem):
+    solution = solve(problem)
+    if solution.x is not None:
+        _assert_residuals_agree(problem, solution)

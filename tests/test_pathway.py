@@ -169,9 +169,8 @@ def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway
         return real(problem, sense, options)
 
     monkeypatch.setattr(mga_mod, "extremize", fail_second)
-    recs = [s.record for s in base_pathway]
     steps = run_extremal_pathway(
-        doc8, [2030, 2035, 2040], base_scenario, SlackSpec(0.05, "max"), recs
+        doc8, [2030, 2035, 2040], base_scenario, SlackSpec(0.05, "max"), base_pathway
     )
     assert len(calls) == 2
     assert [s.record.status for s in steps] == ["optimal", "infeasible"]
@@ -233,11 +232,10 @@ def test_extremize_needs_budget_row():
 
 def test_budget_epsilon_nesting_first_horizon(doc8, base_scenario):
     steps = run_optimal_pathway(doc8, [2040], base_scenario)
-    recs = [s.record for s in steps]
     maxima, minima = {}, {}
     for eps in (0.05, 0.10):
-        up = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "max"), recs)
-        dn = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "min"), recs)
+        up = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "max"), steps)
+        dn = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "min"), steps)
         maxima[eps] = up[0].record.h2_mt
         minima[eps] = dn[0].record.h2_mt
     assert maxima[0.10] > maxima[0.05]  # budget binds on the fixture, strictly wider
@@ -251,9 +249,8 @@ def test_extremal_requires_optimal_records(doc8, base_scenario):
 
 def test_first_horizon_ordering(doc8, base_scenario):
     steps = run_optimal_pathway(doc8, [2030], base_scenario)
-    recs = [s.record for s in steps]
-    up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "max"), recs)
-    dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "min"), recs)
-    h_opt = recs[0].h2_mt
+    up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "max"), steps)
+    dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "min"), steps)
+    h_opt = steps[0].record.h2_mt
     assert dn[0].record.h2_mt <= h_opt + 1e-9
     assert up[0].record.h2_mt >= h_opt - 1e-9

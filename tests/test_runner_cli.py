@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import corridor_kit.mga as mga_mod
 import corridor_kit.runner as runner_mod
 from corridor_kit.cli import main
 from corridor_kit.pathway import PathwayRecord
@@ -79,6 +80,31 @@ def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch, capl
     assert store.read_records() == records
     assert tiny_scenarios[0].id in caplog.text and "boom" in caplog.text
     assert "boom" in (store.path / "errors" / f"{tiny_scenarios[0].id}.txt").read_text()
+
+
+def test_worker_crash_keeps_finished_chains(doc8, tiny_scenarios, tmp_path, monkeypatch):
+    real = mga_mod.extremize
+
+    def crash_max(problem, sense, options=None):
+        if sense == "max":
+            raise RuntimeError("max chain exploded")
+        return real(problem, sense, options)
+
+    monkeypatch.setattr(mga_mod, "extremize", crash_max)
+    scenario = tiny_scenarios[0]
+    records, store = run_matrix(
+        doc8, [scenario], [0.05], [2030, 2035], jobs=1, out_dir=tmp_path / "crash", flows=True
+    )
+
+    def chain(sense, epsilon):
+        return [(r.horizon, r.status) for r in records if (r.sense, r.epsilon) == (sense, epsilon)]
+
+    assert chain("optimal", None) == [(2030, "optimal"), (2035, "optimal")]
+    assert chain("min", 0.05) == [(2030, "optimal"), (2035, "optimal")]
+    assert chain("max", 0.05) == [(2030, "worker_error")]
+    assert len(records) == 5 and store.read_records() == records
+    assert len(list((store.path / "flows").glob("*.csv"))) == 4
+    assert "max chain exploded" in (store.path / "errors" / f"{scenario.id}.txt").read_text()
 
 
 def write_tiny_inputs(tmp_path, doc8):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from corridor_kit.fleet import fleet_from_document
 from corridor_kit.lp import LpBuilder, LpProblem
+from corridor_kit.mga import add_cost_budget
+from corridor_kit.network import build_network
+from corridor_kit.pathway import phase_out
+from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
+from corridor_kit.translate import translate
 
 from lp_oracles import enumerate_vertices_minimum, random_problem
 
@@ -180,3 +186,17 @@ def test_random_larger_kkt_only():
         assert sol.status in ("optimal", "infeasible")
         if sol.status == "optimal":
             assert sol.residuals.passes(1e-8)
+
+
+def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch):
+    network = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+    problem = translate(network, phase_out(fleet_from_document(doc8), 2030))
+
+    def no_dense(self):
+        raise AssertionError("LpProblem.dense() called on the solve path")
+
+    monkeypatch.setattr(LpProblem, "dense", no_dense)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    budgeted = add_cost_budget(problem, problem.c, sol.objective, 0.05)
+    assert solve(budgeted).status == "optimal"
