@@ -152,9 +152,16 @@ def write_lp_file(problem: LpProblem, path) -> None:
     """Write the problem in plain-text LP interchange format for cross-checks.
 
     Columns are emitted as ``x0..xN`` and rows as ``r0..rM``; the original
-    labels are listed in leading comments.
+    labels are listed in leading comments.  Each row lists its columns in
+    ascending order, duplicate triplets summed and zero sums left out.
     """
-    a = problem.dense()
+    keys, at = np.unique(problem.a_rows * problem.n + problem.a_cols, return_inverse=True)
+    sums = np.zeros(keys.size)
+    np.add.at(sums, at, problem.a_vals)  # in triplet order, as dense() sums them
+    nonzero = sums != 0
+    row_of, col_of = np.divmod(keys[nonzero], max(problem.n, 1))
+    sums = sums[nonzero]
+    starts = np.searchsorted(row_of, np.arange(problem.m + 1))
     lines = ["\\ " + problem.meta.get("name", "problem")]
     for j, label in enumerate(problem.col_labels):
         lines.append(f"\\ x{j} = {label}")
@@ -165,8 +172,9 @@ def write_lp_file(problem: LpProblem, path) -> None:
     lines.append(" obj: " + (" ".join(terms) if terms else "0 x0"))
     lines.append("Subject To")
     for i in range(problem.m):
-        cols = np.nonzero(a[i])[0]
-        expr = " ".join(f"{a[i, j]:+.17g} x{j}" for j in cols) or "0 x0"
+        row = slice(starts[i], starts[i + 1])
+        entries = zip(col_of[row].tolist(), sums[row].tolist())
+        expr = " ".join(f"{v:+.17g} x{j}" for j, v in entries) or "0 x0"
         lines.append(f" r{i}: {expr} {_SENSE_TOKEN[problem.senses[i]]} {problem.b[i]:.17g}")
     lines.append("Bounds")
     for j in range(problem.n):

@@ -16,7 +16,7 @@ optimal solve as part of the KKT residual check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_NUMERICAL = "numerical_failure"
 STATUS_TIMEOUT = "timeout"
+
+# Entries of one row block of the basis-inverse update: 256 KiB of float64,
+# so a block's outer product stays in L2 cache while it is subtracted.
+_BLOCK_ENTRIES = 32768
 
 
 @dataclass
@@ -252,7 +256,8 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     Infeasible and unbounded models, iteration-cap timeouts and failed
     residual checks are reported through the solution status, never raised.
     A solve whose final residuals miss the tolerance is retried once with
-    conservative settings before numerical failure is reported.
+    conservative settings before numerical failure is reported; the
+    reported iterations then include both attempts.
     """
     options = options or SolverOptions()
     for arr in (problem.c, problem.a_vals, problem.b):
@@ -278,18 +283,9 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     std = _Standardizer(problem)
     sol = _solve_standardized(problem, std, options)
     if sol.status == STATUS_NUMERICAL:
-        cautious = SolverOptions(
-            max_iterations=options.max_iterations,
-            tol=options.tol,
-            feas_tol=options.feas_tol,
-            kkt_tol=options.kkt_tol,
-            refactor_every=20,
-            stall_iterations=40,
-        )
+        cautious = replace(options, refactor_every=20, stall_iterations=40)
         retry = _solve_standardized(problem, std, cautious)
-        if retry.status == STATUS_OPTIMAL:
-            return retry
-        retry.iterations += sol.iterations
+        retry.iterations += sol.iterations  # the failed attempt's work counts too
         return retry
     return sol
 
@@ -348,6 +344,29 @@ def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _block_buffer(m: int) -> np.ndarray:
+    """Scratch rows for :func:`_rank1_update`: ``max(1, 32768 // m)`` of them, at most m."""
+    return np.empty((min(m, max(1, _BLOCK_ENTRIES // m)), m))
+
+
+def _rank1_update(b_inv: np.ndarray, x: np.ndarray, r: np.ndarray, block: np.ndarray) -> None:
+    """``b_inv -= x[:, None] * r`` in place, one cache-sized row block at a time.
+
+    Each block's outer product is a k = 1 matrix product into ``block``, which
+    rounds every entry as the broadcast product does.  Only the sign of a zero
+    can differ (the product writes +0 where the broadcast gives -0).  Pivot
+    decisions compare values, where -0 == +0, and the answers are solved again
+    from the final basis, so neither depends on that sign.
+    """
+    rows = block.shape[0]
+    x, r = x[:, None], r[None, :]
+    for start in range(0, b_inv.shape[0], rows):
+        target = b_inv[start : start + rows]
+        product = block[: target.shape[0]]
+        np.dot(x[start : start + rows], r, out=product)
+        np.subtract(target, product, out=target)
+
+
 class _SimplexCore:
     """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``."""
 
@@ -358,6 +377,7 @@ class _SimplexCore:
         self.options = options
         self.m, self.n = a.shape
         self.iterations = 0
+        self.block = _block_buffer(self.m)
 
     def run(self) -> tuple[str, int]:
         m, n = self.m, self.n
@@ -452,7 +472,7 @@ class _SimplexCore:
         if clamp:
             np.maximum(self.x_b, 0.0, out=self.x_b)
         row_r = self.b_inv[row].copy()
-        self.b_inv -= (d / piv)[:, None] * row_r
+        _rank1_update(self.b_inv, d / piv, row_r, self.block)
         self.b_inv[row] = row_r / piv
         self.basis[row] = col
 

@@ -2,7 +2,9 @@
 
 Besides the brute-force vertex enumeration, this keeps the row-by-row
 reference versions of KKT verification and standardization, against which
-the vectorized ones in :mod:`corridor_kit.simplex` are property-tested.
+the vectorized ones in :mod:`corridor_kit.simplex` are property-tested, the
+simplex core with the broadcast inverse update, against which the blocked one
+must give the same bytes, and the LP file writer over the dense matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ import itertools
 import numpy as np
 
 from corridor_kit.lp import LpProblem
-from corridor_kit.simplex import ResidualReport
+from corridor_kit.lp import _SENSE_TOKEN as SENSE_TOKEN
+from corridor_kit.simplex import (
+    STATUS_INFEASIBLE,
+    STATUS_NUMERICAL,
+    STATUS_OPTIMAL,
+    STATUS_TIMEOUT,
+    STATUS_UNBOUNDED,
+    ResidualReport,
+    SolverOptions,
+    _refined_solve,
+    _slack_basis,
+)
 
 
 def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
@@ -249,3 +262,301 @@ class LoopStandardizer:
         self.a_std *= self.flip[:, None]
         self.b_std = b_arr * self.flip
         self.slack_of_row = slack_of_row
+
+
+def dense_write_lp_file(problem: LpProblem, path) -> None:
+    """LP file written row by row from ``LpProblem.dense()``: the oracle for ``write_lp_file``."""
+    a = problem.dense()
+    lines = ["\\ " + problem.meta.get("name", "problem")]
+    for j, label in enumerate(problem.col_labels):
+        lines.append(f"\\ x{j} = {label}")
+    for i, label in enumerate(problem.row_labels):
+        lines.append(f"\\ r{i} = {label}")
+    lines.append("Minimize")
+    terms = [f"{problem.c[j]:+.17g} x{j}" for j in range(problem.n) if problem.c[j] != 0]
+    lines.append(" obj: " + (" ".join(terms) if terms else "0 x0"))
+    lines.append("Subject To")
+    for i in range(problem.m):
+        cols = np.nonzero(a[i])[0]
+        expr = " ".join(f"{a[i, j]:+.17g} x{j}" for j in cols) or "0 x0"
+        lines.append(f" r{i}: {expr} {SENSE_TOKEN[problem.senses[i]]} {problem.b[i]:.17g}")
+    lines.append("Bounds")
+    for j in range(problem.n):
+        lo, hi = problem.lb[j], problem.ub[j]
+        if lo == -np.inf and hi == np.inf:
+            lines.append(f" x{j} free")
+        elif hi == np.inf:
+            lines.append(f" {lo:.17g} <= x{j}")
+        else:
+            lines.append(f" {lo:.17g} <= x{j} <= {hi:.17g}")
+    lines.append("End")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class BroadcastSimplexCore:
+    """The simplex core before the blocked inverse update: the oracle for ``_SimplexCore``.
+
+    Identical except that every pivot updates the explicit basis inverse with
+    one broadcast m x m outer product.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.options = options
+        self.m, self.n = a.shape
+        self.iterations = 0
+
+    def run(self) -> tuple[str, int]:
+        m, n = self.m, self.n
+        opts = self.options
+
+        # Initial basis: reuse slack columns where they enter positively,
+        # add artificial columns elsewhere.
+        basis = _slack_basis(self.a, self.c)
+        a_work = self.a
+        missing = np.flatnonzero(basis == -1)
+        n_art = missing.size
+        if n_art:
+            art = np.zeros((m, n_art))
+            art[missing, np.arange(n_art)] = 1.0
+            basis[missing] = n + np.arange(n_art)
+            a_work = np.concatenate([self.a, art], axis=1)
+        self.a_work = a_work
+        self.basis = basis
+        self.is_artificial = np.zeros(a_work.shape[1], dtype=bool)
+        self.is_artificial[n:] = True
+        self.allowed = np.ones(a_work.shape[1], dtype=bool)
+
+        self.b_inv = np.eye(m)
+        self.x_b = self.b.copy()
+        self._refactor()
+
+        feas_scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
+
+        # Phase 1: minimize the sum of artificial variables.
+        if n_art:
+            phase1_cost = np.zeros(a_work.shape[1])
+            phase1_cost[n:] = 1.0
+            status = self._iterate(phase1_cost, phase=1)
+            if status is not None:
+                return status, self.iterations
+            art_mask = self.is_artificial[self.basis]
+            infeas = float(self.x_b[art_mask].sum()) if art_mask.any() else 0.0
+            if infeas > opts.feas_tol * feas_scale:
+                return STATUS_INFEASIBLE, self.iterations
+            self._drive_out_artificials()
+        self.allowed &= ~self.is_artificial
+
+        # Phase 2: the real objective.  Degenerate churn can leave the final
+        # basis dual feasible but slightly primal infeasible (drift hidden by
+        # clamping); dual-simplex restoration steps repair that exactly, then
+        # pricing resumes until both sides hold.
+        cost = np.concatenate([self.c, np.zeros(a_work.shape[1] - n)])
+        for _ in range(6):
+            status = self._iterate(cost, phase=2)
+            if status is not None:
+                return status, self.iterations
+            feasible, pivoted = self._restore_primal(cost)
+            if feasible and not pivoted:
+                return STATUS_OPTIMAL, self.iterations
+            if not feasible:
+                return STATUS_NUMERICAL, self.iterations
+        return STATUS_NUMERICAL, self.iterations
+
+    def _refactor(self) -> bool:
+        try:
+            self.b_inv = np.linalg.inv(self.a_work[:, self.basis])
+        except np.linalg.LinAlgError:
+            return False
+        self.x_b = self.b_inv @ self.b
+        return True
+
+    def _drive_out_artificials(self):
+        """Pivot basic artificials out wherever a structural pivot exists."""
+        tol = 1e-7
+        eligible = self.allowed & ~self.is_artificial
+        eligible[self.basis] = False
+        for pos in range(self.m):
+            if not self.is_artificial[self.basis[pos]]:
+                continue
+            row = self.b_inv[pos] @ self.a_work
+            candidates = np.flatnonzero((np.abs(row) > tol) & eligible)
+            if not candidates.size:
+                continue  # redundant row; artificial stays basic at zero
+            j = int(candidates[0])
+            d = self.b_inv @ self.a_work[:, j]
+            self._pivot(pos, j, d)
+            eligible[j] = False
+
+    def _pivot(self, row: int, col: int, d: np.ndarray, clamp: bool = True):
+        piv = d[row]
+        leaving = self.basis[row]
+        if self.is_artificial[leaving]:
+            self.allowed[leaving] = False
+        theta = self.x_b[row] / piv
+        self.x_b -= theta * d
+        self.x_b[row] = theta
+        if clamp:
+            np.maximum(self.x_b, 0.0, out=self.x_b)
+        row_r = self.b_inv[row].copy()
+        self.b_inv -= (d / piv)[:, None] * row_r
+        self.b_inv[row] = row_r / piv
+        self.basis[row] = col
+
+    def _restore_primal(self, cost: np.ndarray) -> tuple[bool, bool]:
+        """Repair exact primal infeasibility of a priced-optimal basis.
+
+        Refactorizes without clamping, then runs dual-simplex steps (leaving:
+        most negative basic; entering: dual ratio test, which preserves the
+        nonnegative reduced costs pricing just established) until the exact
+        basic solution is feasible.  Returns (feasible, pivoted).
+        """
+        if not self._refactor():
+            return False, False
+        self.x_b = _refined_solve(self.a_work[:, self.basis], self.b)
+        # Negativity below the solution-scale noise floor is genuine basis
+        # infeasibility left by degenerate churn; anything shallower is solve
+        # noise the final clamp absorbs.
+        scale = 1.0 + (float(np.max(np.abs(self.x_b))) if self.m else 0.0)
+        pivoted = False
+        for _ in range(200):
+            row = int(np.argmin(self.x_b))
+            value = float(self.x_b[row])
+            if value >= -1e-8 * scale:
+                np.maximum(self.x_b, 0.0, out=self.x_b)
+                return True, pivoted
+            y = cost[self.basis] @ self.b_inv
+            z = cost - y @ self.a_work
+            row_r = self.b_inv[row] @ self.a_work
+            eligible = (row_r < -1e-9) & self.allowed
+            eligible[self.basis] = False
+            cand = np.nonzero(eligible)[0]
+            if cand.size == 0:
+                if value >= -1e-7 * scale:  # borderline noise; leave to the clamp
+                    np.maximum(self.x_b, 0.0, out=self.x_b)
+                    return True, pivoted
+                return False, pivoted
+            ratios = np.maximum(z[cand], 0.0) / (-row_r[cand])
+            best = float(ratios.min())
+            tie = cand[ratios <= best + 1e-12 * (1.0 + abs(best))]
+            j = int(tie.min())
+            d = self.b_inv @ self.a_work[:, j]
+            self._pivot(row, j, d, clamp=False)
+            pivoted = True
+        return False, pivoted
+
+    def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
+        opts = self.options
+        tol = opts.tol
+        # Pricing is normalized per column so the stopping rule matches the
+        # relative reduced-cost criterion the KKT verifier applies; a second,
+        # dual-scale term filters out roundoff noise of order |y|.|A_j| that
+        # would otherwise admit degenerate zero-cost rays as "improving".
+        denom = 1.0 + np.abs(cost)
+        abs_a = np.abs(self.a_work)
+        bland = False
+        stall = 0
+        best_obj = np.inf
+        since_refactor = 0
+        since_noise = 999
+        noise = None
+        ray_verified = False
+        banned = np.zeros(self.a_work.shape[1], dtype=bool)
+        in_basis = np.zeros(self.a_work.shape[1], dtype=bool)
+        in_basis[self.basis] = True
+
+        while True:
+            if self.iterations >= opts.max_iterations:
+                return STATUS_TIMEOUT
+            self.iterations += 1
+            since_refactor += 1
+            if since_refactor >= opts.refactor_every:
+                if not self._refactor():
+                    return STATUS_NUMERICAL
+                np.maximum(self.x_b, 0.0, out=self.x_b)
+                since_refactor = 0
+                banned[:] = False
+
+            y = cost[self.basis] @ self.b_inv
+            # The noise floor |y|.|A_j| drifts slowly; refreshing it every few
+            # iterations halves the pricing cost without affecting the rule.
+            since_noise += 1
+            if since_noise >= 16 or noise is None:
+                noise = np.abs(y) @ abs_a
+                thr = tol * denom + 1e-12 * (1.0 + noise)
+                since_noise = 0
+            z = cost - y @ self.a_work
+            score = (z + thr) / denom  # eligible iff score < 0
+            score[~self.allowed] = np.inf
+            score[in_basis] = np.inf
+            score[banned] = np.inf
+
+            if bland:
+                neg = np.nonzero(score < 0.0)[0]
+                if neg.size == 0:
+                    if since_noise:  # confirm with a fresh noise floor
+                        since_noise = 999
+                        continue
+                    return None
+                j = int(neg[0])
+            else:
+                j = int(np.argmin(score))
+                if score[j] >= 0.0:
+                    if since_noise:
+                        since_noise = 999
+                        continue
+                    return None
+
+            d = self.b_inv @ self.a_work[:, j]
+            pos = np.nonzero(d > tol)[0]
+            if pos.size == 0:
+                # Rule out factorization drift before declaring unboundedness.
+                if not ray_verified:
+                    if not self._refactor():
+                        return STATUS_NUMERICAL
+                    np.maximum(self.x_b, 0.0, out=self.x_b)
+                    since_refactor = 0
+                    since_noise = 999
+                    banned[:] = False
+                    ray_verified = True
+                    continue
+                # Fresh factorization and still no blocking row: re-price this
+                # column accurately; a vanishing reduced cost marks a harmless
+                # degenerate ray, not an unbounded direction.
+                y_acc = _refined_solve(self.a_work[:, self.basis].T, cost[self.basis])
+                z_acc = cost[j] - float(y_acc @ self.a_work[:, j])
+                noise_j = 1.0 + float(np.abs(y_acc) @ abs_a[:, j])
+                if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):
+                    banned[j] = True
+                    ray_verified = False
+                    continue
+                return STATUS_UNBOUNDED if phase == 2 else STATUS_NUMERICAL
+            ray_verified = False
+            ratios = self.x_b[pos] / d[pos]
+            theta = float(ratios.min())
+            tie = pos[ratios <= theta + 1e-9 * (1.0 + abs(theta))]
+            if bland:
+                row = int(tie[np.argmin(self.basis[tie])])
+            else:
+                # Prefer a well-sized pivot among (near-)tied ratios; tiny
+                # pivots degrade the basis conditioning under degeneracy.
+                solid = tie[d[tie] >= 1e-7]
+                pick = solid if solid.size else tie
+                row = int(pick[np.argmax(d[pick])])
+
+            in_basis[self.basis[row]] = False
+            in_basis[j] = True
+            self._pivot(row, j, d)
+
+            stall += 1
+            if stall % 4 == 0 or stall > opts.stall_iterations:
+                obj = float(cost[self.basis] @ self.x_b)
+                if obj < best_obj - tol * (1.0 + abs(best_obj)):
+                    best_obj = obj
+                    stall = 0
+                    bland = False
+                elif stall > opts.stall_iterations:
+                    bland = True

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 import corridor_kit.mga as mga_mod
+import corridor_kit.pathway as pathway_mod
 import corridor_kit.runner as runner_mod
 from corridor_kit.cli import main
 from corridor_kit.pathway import PathwayRecord
+from corridor_kit.reduction import reduce_document
 from corridor_kit.runner import ResultsStore, run_matrix
 from corridor_kit.scenarios import enumerate_scenarios, load_categories, subset_categories
 
@@ -105,6 +107,24 @@ def test_worker_crash_keeps_finished_chains(doc8, tiny_scenarios, tmp_path, monk
     assert len(records) == 5 and store.read_records() == records
     assert len(list((store.path / "flows").glob("*.csv"))) == 4
     assert "max chain exploded" in (store.path / "errors" / f"{scenario.id}.txt").read_text()
+
+
+def test_first_horizon_translated_once(fixture_doc, tiny_scenarios, monkeypatch):
+    real = pathway_mod.translate
+    horizons = []
+
+    def spy(network, fleet):
+        horizons.append(network.horizon)
+        return real(network, fleet)
+
+    monkeypatch.setattr(pathway_mod, "translate", spy)
+    outcome = runner_mod.run_scenario(
+        reduce_document(fixture_doc, 2), tiny_scenarios[0], [0.02, 0.05, 0.10], [2030, 2035]
+    )
+    first = [r.status for r in outcome.records if r.horizon == 2030]
+    assert first == ["optimal"] * 7 and len(outcome.records) == 2 * 7
+    # All seven chains enter 2030 with the document's fleet: one LP serves them.
+    assert horizons.count(2030) == 1
 
 
 def write_tiny_inputs(tmp_path, doc8):

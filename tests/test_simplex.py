@@ -1,16 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import corridor_kit.mga as mga_mod
+import corridor_kit.simplex as simplex_mod
 from corridor_kit.fleet import fleet_from_document
 from corridor_kit.lp import LpBuilder, LpProblem
-from corridor_kit.mga import add_cost_budget
+from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budget
 from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
 from corridor_kit.translate import translate
 
-from lp_oracles import enumerate_vertices_minimum, random_problem
+from lp_oracles import BroadcastSimplexCore, enumerate_vertices_minimum, random_problem
 
 
 def two_var_problem():
@@ -200,3 +204,65 @@ def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch
     assert sol.status == "optimal"
     budgeted = add_cost_budget(problem, problem.c, sol.objective, 0.05)
     assert solve(budgeted).status == "optimal"
+
+
+def assert_same_bytes_as_broadcast_core(problem):
+    """``solve`` gives the bytes it gave with the broadcast inverse update."""
+    got = solve(problem)
+    with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
+        want = solve(problem)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.basis == want.basis
+    for name in ("x", "y"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.tobytes() == w.tobytes(), name
+    return got
+
+
+def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
+    network = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+    problem = translate(network, phase_out(fleet_from_document(doc8), 2030))
+    optimal = assert_same_bytes_as_broadcast_core(problem)
+    assert optimal.status == "optimal"
+
+    budgeted = add_cost_budget(problem, problem.c, optimal.objective, 0.05)
+    extremal = assert_same_bytes_as_broadcast_core(budgeted)
+    assert extremal.status == "optimal"
+
+    cleanups = []
+    with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
+        _cheapest_representative(budgeted, extremal, "min", None)
+    (cleanup,) = cleanups
+    assert cleanup.row_labels[-1] == PIN_LABEL
+    assert assert_same_bytes_as_broadcast_core(cleanup).status == "optimal"
+
+
+def test_blocked_update_keeps_random_answers():
+    rng = np.random.default_rng(7)
+    # With bounded columns the standard form has rows + columns rows, so the
+    # larger draws span several row blocks of the inverse update.
+    for n, m in [(3, 2), (12, 9), (40, 25), (60, 40), (100, 90), (120, 150)]:
+        for _ in range(2):
+            assert_same_bytes_as_broadcast_core(random_problem(rng, n, m))
+
+
+def test_retry_counts_both_attempts(monkeypatch):
+    real = simplex_mod._solve_standardized
+    attempts = []
+
+    def fail_first(problem, std, options):
+        sol = real(problem, std, options)
+        attempts.append((sol.iterations, options))
+        if len(attempts) == 1:
+            return LpSolution(status="numerical_failure", iterations=sol.iterations)
+        return sol
+
+    monkeypatch.setattr(simplex_mod, "_solve_standardized", fail_first)
+    sol = solve(random_problem(np.random.default_rng(5), 12, 9))
+    assert sol.status == "optimal"
+    (first, _), (second, cautious) = attempts
+    assert first > 0 and sol.iterations == first + second
+    assert (cautious.refactor_every, cautious.stall_iterations) == (20, 40)

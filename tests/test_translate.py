@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from corridor_kit.fleet import Fleet, FleetEntry, fleet_from_document
-from corridor_kit.lp import write_lp_file
+from corridor_kit.lp import LpBuilder, write_lp_file
+from corridor_kit.mga import add_cost_budget
 from corridor_kit.network import build_network, mt_to_twh
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import solve
 from corridor_kit.translate import StructuralError, extract, translate
+
+from lp_oracles import dense_write_lp_file
 
 
 def tiny_doc():
@@ -225,3 +228,30 @@ def test_lp_export_round_trip(tmp_path, solved_fixture):
     assert text.startswith("\\ ")
     assert "Minimize" in text and "Subject To" in text and "Bounds" in text
     assert text.count("\n r") == prob.m
+
+
+def _lp_files_match(problem, tmp_path):
+    write_lp_file(problem, tmp_path / "triplets.lp")
+    dense_write_lp_file(problem, tmp_path / "dense.lp")
+    assert (tmp_path / "triplets.lp").read_bytes() == (tmp_path / "dense.lp").read_bytes()
+
+
+def test_lp_file_matches_dense_writer(tmp_path, solved_fixture):
+    net, prob, sol, result = solved_fixture
+    _lp_files_match(prob, tmp_path)
+    _lp_files_match(add_cost_budget(prob, prob.c, sol.objective, 0.05), tmp_path)
+
+
+def test_lp_file_sums_duplicate_triplets(tmp_path):
+    bld = LpBuilder()
+    x = [bld.add_col(f"x{j}", cost=1.0) for j in range(4)]
+    r0 = bld.add_row("sum", "le", 1.0)
+    r1 = bld.add_row("cancel", "ge", -2.0)
+    bld.add_row("empty", "eq", 0.0)
+    for row, col, val in [(r0, x[3], 0.1), (r0, x[1], 0.2), (r0, x[3], 0.7), (r1, x[2], 1.5),
+                          (r1, x[0], -0.3), (r1, x[2], -1.5), (r0, x[3], 1e-17)]:
+        bld.add_entry(row, col, val)
+    problem = bld.build()
+    _lp_files_match(problem, tmp_path)
+    text = (tmp_path / "triplets.lp").read_text()
+    assert " r1: -0.29999999999999999 x0 >=" in text and " r2: 0 x0 =" in text
