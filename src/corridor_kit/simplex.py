@@ -32,6 +32,9 @@ STATUS_TIMEOUT = "timeout"
 # so a block's outer product stays in L2 cache while it is subtracted.
 _BLOCK_ENTRIES = 32768
 
+# Column alignment of the simplex's dense prefix (see _SimplexCore).
+_ALIGN = 32
+
 
 @dataclass
 class SolverOptions:
@@ -68,6 +71,8 @@ class LpSolution:
     iterations: int = 0
     residuals: ResidualReport | None = None
     basis: tuple | None = None  # opaque basis fingerprint (standard-form column ids)
+    phase1_iterations: int = 0  # of ``iterations``, those spent in phase 1
+    inverses: int = 0  # explicit basis inverses computed
 
 
 def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
@@ -257,7 +262,7 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     residual checks are reported through the solution status, never raised.
     A solve whose final residuals miss the tolerance is retried once with
     conservative settings before numerical failure is reported; the
-    reported iterations then include both attempts.
+    reported iterations and inverses then include both attempts.
     """
     options = options or SolverOptions()
     for arr in (problem.c, problem.a_vals, problem.b):
@@ -285,7 +290,10 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     if sol.status == STATUS_NUMERICAL:
         cautious = replace(options, refactor_every=20, stall_iterations=40)
         retry = _solve_standardized(problem, std, cautious)
-        retry.iterations += sol.iterations  # the failed attempt's work counts too
+        # The failed attempt's work counts too.
+        retry.iterations += sol.iterations
+        retry.phase1_iterations += sol.phase1_iterations
+        retry.inverses += sol.inverses
         return retry
     return sol
 
@@ -293,39 +301,70 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
 def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: SolverOptions) -> LpSolution:
     core = _SimplexCore(std.a_std, std.b_std, std.c_std, options)
     status, iterations = core.run()
+    # A core that keeps no counters reports zero for them.
+    counts = dict(
+        iterations=iterations,
+        phase1_iterations=getattr(core, "phase1_iterations", 0),
+        inverses=getattr(core, "inverses", 0),
+    )
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_TIMEOUT, STATUS_NUMERICAL):
-        return LpSolution(status=status, iterations=iterations)
+        return LpSolution(status=status, **counts)
 
-    # Final polish: recompute the basic solution and duals from a fresh
-    # factorization of the final basis for maximum accuracy.  The working
-    # matrix is used because a redundant row can keep an artificial column
-    # basic at zero; such a column pins that row's dual to zero.
+    # Final polish.  An optimal core ends on a primal restoration that made no
+    # pivot, so its basic solution is already the refined, clamped solve of
+    # the final basis; the duals come from a refined solve of the transposed
+    # basis.  A redundant row can keep an artificial column basic at zero;
+    # such a column pins that row's dual to zero.
     basis = core.basis
-    cost_full = np.concatenate([std.c_std, np.zeros(core.a_work.shape[1] - std.c_std.size)])
-    b_mat = core.a_work[:, basis]
+    n_std = std.a_std.shape[1]
+    structural = basis < n_std
+    cost_basic = np.zeros(basis.size)
+    cost_basic[structural] = std.c_std[basis[structural]]
     try:
-        x_basic = _refined_solve(b_mat, std.b_std)
-        y_std = _refined_solve(b_mat.T, cost_full[basis])
+        y_std = _refined_solve(_basis_matrix(std.a_std, basis).T, cost_basic)
     except np.linalg.LinAlgError:
-        return LpSolution(status=STATUS_NUMERICAL, iterations=iterations)
-    np.maximum(x_basic, 0.0, out=x_basic)  # degenerate basics: clamp solve noise
-    x_std = np.zeros(std.a_std.shape[1])
-    structural = basis < std.a_std.shape[1]
-    x_std[basis[structural]] = x_basic[structural]
+        return LpSolution(status=STATUS_NUMERICAL, **counts)
+    x_std = np.zeros(n_std)
+    x_std[basis[structural]] = core.x_b[structural]
 
     sol = LpSolution(
         status=STATUS_OPTIMAL,
         x=std.recover_x(x_std),
         y=std.recover_y(y_std),
-        iterations=iterations,
         basis=tuple(int(j) for j in basis),
+        **counts,
     )
     sol.objective = float(problem.c @ sol.x)
     sol.residuals = verify_kkt(problem, sol)
     if not sol.residuals.passes(options.kkt_tol):
         sol.status = STATUS_NUMERICAL
     return sol
+
+
+def _basis_matrix(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Columns ``basis`` of ``a`` extended by artificial columns.
+
+    Column ids from ``a.shape[1]`` on are artificials.  An artificial is only
+    ever basic at the position it started in, where its column is the unit
+    column of that row.  The other columns are gathered from ``a`` itself, so
+    every entry, down to the sign of a zero, is the one a materialized
+    artificial block would give.
+    """
+    real = basis < a.shape[1]
+    mat = a[:, np.where(real, basis, 0)]
+    art = np.flatnonzero(~real)
+    mat[:, art] = 0.0
+    mat[art, art] = 1.0
+    return mat
+
+
+def _single_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of ``a`` with exactly one nonzero: their ids, that entry's row and its value."""
+    nonzero = a != 0
+    cols = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = np.argmax(nonzero[:, cols], axis=0)
+    return cols, rows, a[rows, cols]
 
 
 def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -335,12 +374,10 @@ def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     several share a row, the lowest column index takes it.
     """
     basis = np.full(a.shape[0], -1, dtype=np.int64)
-    nonzero = a != 0
-    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (c == 0.0))
-    unit_row = np.argmax(nonzero[:, unit], axis=0)
-    usable = a[unit_row, unit] == 1.0
-    claimed, first = np.unique(unit_row[usable], return_index=True)
-    basis[claimed] = unit[usable][first]
+    cols, rows, vals = _single_entries(a)
+    usable = (vals == 1.0) & (c[cols] == 0.0)
+    claimed, first = np.unique(rows[usable], return_index=True)
+    basis[claimed] = cols[usable][first]
     return basis
 
 
@@ -368,7 +405,19 @@ def _rank1_update(b_inv: np.ndarray, x: np.ndarray, r: np.ndarray, block: np.nda
 
 
 class _SimplexCore:
-    """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``."""
+    """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``.
+
+    The working matrix is ``A`` followed by one artificial column for each row
+    the slack basis leaves uncovered.  Only its leading columns up to ``k``,
+    the first multiple of 32 past the last column that is not a signed unit
+    column, are held densely; every column from ``k`` on (slacks and
+    artificials) is a ``(row, sign)`` pair.  A unit column's product with a
+    vector is one exact product and its solve against the basis is a signed
+    column of the inverse, so pricing and every pivot are the ones the whole
+    matrix would give.  The prefix product equals the first ``k`` entries of
+    the whole product byte for byte only because ``k`` is aligned: a BLAS
+    kernel finishes an unaligned column count with a differently ordered tail.
+    """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):
         self.a = a
@@ -377,6 +426,8 @@ class _SimplexCore:
         self.options = options
         self.m, self.n = a.shape
         self.iterations = 0
+        self.phase1_iterations = 0
+        self.inverses = 0  # explicit basis inverses computed
         self.block = _block_buffer(self.m)
 
     def run(self) -> tuple[str, int]:
@@ -384,33 +435,29 @@ class _SimplexCore:
         opts = self.options
 
         # Initial basis: reuse slack columns where they enter positively,
-        # add artificial columns elsewhere.
+        # add artificial columns elsewhere.  It is the identity, so the start
+        # inverse and basic solution need no factorization.
         basis = _slack_basis(self.a, self.c)
-        a_work = self.a
         missing = np.flatnonzero(basis == -1)
         n_art = missing.size
-        if n_art:
-            art = np.zeros((m, n_art))
-            art[missing, np.arange(n_art)] = 1.0
-            basis[missing] = n + np.arange(n_art)
-            a_work = np.concatenate([self.a, art], axis=1)
-        self.a_work = a_work
+        basis[missing] = n + np.arange(n_art)
         self.basis = basis
-        self.is_artificial = np.zeros(a_work.shape[1], dtype=bool)
+        self._split_columns(missing)
+        n_work = n + n_art
+        self.is_artificial = np.zeros(n_work, dtype=bool)
         self.is_artificial[n:] = True
-        self.allowed = np.ones(a_work.shape[1], dtype=bool)
-
+        self.allowed = np.ones(n_work, dtype=bool)
         self.b_inv = np.eye(m)
         self.x_b = self.b.copy()
-        self._refactor()
 
         feas_scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
 
         # Phase 1: minimize the sum of artificial variables.
         if n_art:
-            phase1_cost = np.zeros(a_work.shape[1])
+            phase1_cost = np.zeros(n_work)
             phase1_cost[n:] = 1.0
             status = self._iterate(phase1_cost, phase=1)
+            self.phase1_iterations = self.iterations
             if status is not None:
                 return status, self.iterations
             art_mask = self.is_artificial[self.basis]
@@ -424,7 +471,7 @@ class _SimplexCore:
         # basis dual feasible but slightly primal infeasible (drift hidden by
         # clamping); dual-simplex restoration steps repair that exactly, then
         # pricing resumes until both sides hold.
-        cost = np.concatenate([self.c, np.zeros(a_work.shape[1] - n)])
+        cost = np.concatenate([self.c, np.zeros(n_art)])
         for _ in range(6):
             status = self._iterate(cost, phase=2)
             if status is not None:
@@ -436,10 +483,66 @@ class _SimplexCore:
                 return STATUS_NUMERICAL, self.iterations
         return STATUS_NUMERICAL, self.iterations
 
-    def _refactor(self) -> bool:
+    def _split_columns(self, missing: np.ndarray):
+        """Hold the working matrix as a dense prefix and ``(row, sign)`` unit columns."""
+        m, n = self.m, self.n
+        n_work = n + missing.size
+        cols, rows, vals = _single_entries(self.a)
+        unit = np.abs(vals) == 1.0
+        unit_row = np.zeros(n_work, dtype=np.int64)
+        unit_sign = np.zeros(n_work)
+        unit_row[cols[unit]], unit_sign[cols[unit]] = rows[unit], vals[unit]
+        unit_row[n:], unit_sign[n:] = missing, 1.0
+        dense_cols = np.flatnonzero(unit_sign == 0.0)
+        last = int(dense_cols[-1]) + 1 if dense_cols.size else 0
+        k = min(-(-last // _ALIGN) * _ALIGN, n_work)
+        if k <= n:
+            self.dense = self.a[:, :k]
+        else:  # the prefix reaches into the artificial block
+            art = np.zeros((m, k - n))
+            art[missing[: k - n], np.arange(k - n)] = 1.0
+            self.dense = np.concatenate([self.a, art], axis=1)
+        self.abs_dense = np.abs(self.dense)
+        self.unit_row, self.unit_sign = unit_row[k:], unit_sign[k:]
+
+    def _times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
+        """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
+        k = self.dense.shape[1]
+        if out is None:
+            out = np.empty(k + self.unit_row.size)
+        np.matmul(v, self.abs_dense if magnitude else self.dense, out=out[:k])
+        tail = v[self.unit_row]
+        if magnitude:
+            out[k:] = tail
+        else:
+            np.multiply(tail, self.unit_sign, out=out[k:])
+        return out
+
+    def _column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
+        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
+        k = self.dense.shape[1]
+        if j < k:
+            return float(v @ self.dense[:, j]), float(np.abs(v) @ self.abs_dense[:, j])
+        entry = float(v[self.unit_row[j - k]])
+        return entry * float(self.unit_sign[j - k]), abs(entry)
+
+    def _ftran(self, j: int) -> np.ndarray:
+        """``B^-1 a_j`` for working column ``j``."""
+        k = self.dense.shape[1]
+        if j < k:
+            return self.b_inv @ self.dense[:, j]
+        return self.unit_sign[j - k] * self.b_inv[:, self.unit_row[j - k]]
+
+    def _invert(self) -> bool:
+        self.inverses += 1
         try:
-            self.b_inv = np.linalg.inv(self.a_work[:, self.basis])
+            self.b_inv = np.linalg.inv(_basis_matrix(self.a, self.basis))
         except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def _refactor(self) -> bool:
+        if not self._invert():
             return False
         self.x_b = self.b_inv @ self.b
         return True
@@ -452,13 +555,12 @@ class _SimplexCore:
         for pos in range(self.m):
             if not self.is_artificial[self.basis[pos]]:
                 continue
-            row = self.b_inv[pos] @ self.a_work
+            row = self._times_a(self.b_inv[pos])
             candidates = np.flatnonzero((np.abs(row) > tol) & eligible)
             if not candidates.size:
                 continue  # redundant row; artificial stays basic at zero
             j = int(candidates[0])
-            d = self.b_inv @ self.a_work[:, j]
-            self._pivot(pos, j, d)
+            self._pivot(pos, j, self._ftran(j))
             eligible[j] = False
 
     def _pivot(self, row: int, col: int, d: np.ndarray, clamp: bool = True):
@@ -479,14 +581,16 @@ class _SimplexCore:
     def _restore_primal(self, cost: np.ndarray) -> tuple[bool, bool]:
         """Repair exact primal infeasibility of a priced-optimal basis.
 
-        Refactorizes without clamping, then runs dual-simplex steps (leaving:
-        most negative basic; entering: dual ratio test, which preserves the
-        nonnegative reduced costs pricing just established) until the exact
-        basic solution is feasible.  Returns (feasible, pivoted).
+        Solves for the basic solution afresh without clamping, then runs
+        dual-simplex steps (leaving: most negative basic; entering: dual ratio
+        test, which preserves the nonnegative reduced costs pricing just
+        established) until the exact basic solution is feasible.  The basis is
+        inverted only once a step is needed.  Returns (feasible, pivoted).
         """
-        if not self._refactor():
+        try:
+            self.x_b = _refined_solve(_basis_matrix(self.a, self.basis), self.b)
+        except np.linalg.LinAlgError:
             return False, False
-        self.x_b = _refined_solve(self.a_work[:, self.basis], self.b)
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
         # noise the final clamp absorbs.
@@ -498,9 +602,11 @@ class _SimplexCore:
             if value >= -1e-8 * scale:
                 np.maximum(self.x_b, 0.0, out=self.x_b)
                 return True, pivoted
+            if not pivoted and not self._invert():
+                return False, False
             y = cost[self.basis] @ self.b_inv
-            z = cost - y @ self.a_work
-            row_r = self.b_inv[row] @ self.a_work
+            z = cost - self._times_a(y)
+            row_r = self._times_a(self.b_inv[row])
             eligible = (row_r < -1e-9) & self.allowed
             eligible[self.basis] = False
             cand = np.nonzero(eligible)[0]
@@ -513,10 +619,14 @@ class _SimplexCore:
             best = float(ratios.min())
             tie = cand[ratios <= best + 1e-12 * (1.0 + abs(best))]
             j = int(tie.min())
-            d = self.b_inv @ self.a_work[:, j]
-            self._pivot(row, j, d, clamp=False)
+            self._pivot(row, j, self._ftran(j), clamp=False)
             pivoted = True
         return False, pivoted
+
+    def _close(self, closed: np.ndarray):
+        """Reset the columns pricing skips: disallowed and basic ones."""
+        np.logical_not(self.allowed, out=closed)
+        closed[self.basis] = True
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
         opts = self.options
@@ -526,7 +636,6 @@ class _SimplexCore:
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
         # would otherwise admit degenerate zero-cost rays as "improving".
         denom = 1.0 + np.abs(cost)
-        abs_a = np.abs(self.a_work)
         bland = False
         stall = 0
         best_obj = np.inf
@@ -534,9 +643,12 @@ class _SimplexCore:
         since_noise = 999
         noise = None
         ray_verified = False
-        banned = np.zeros(self.a_work.shape[1], dtype=bool)
-        in_basis = np.zeros(self.a_work.shape[1], dtype=bool)
-        in_basis[self.basis] = True
+        # Columns pricing skips: disallowed, basic, or banned as a degenerate
+        # ray until the next refactorization.
+        closed = np.empty(cost.size, dtype=bool)
+        self._close(closed)
+        z = np.empty(cost.size)
+        score = np.empty(cost.size)
 
         while True:
             if self.iterations >= opts.max_iterations:
@@ -548,21 +660,20 @@ class _SimplexCore:
                     return STATUS_NUMERICAL
                 np.maximum(self.x_b, 0.0, out=self.x_b)
                 since_refactor = 0
-                banned[:] = False
+                self._close(closed)
 
             y = cost[self.basis] @ self.b_inv
             # The noise floor |y|.|A_j| drifts slowly; refreshing it every few
             # iterations halves the pricing cost without affecting the rule.
             since_noise += 1
             if since_noise >= 16 or noise is None:
-                noise = np.abs(y) @ abs_a
+                noise = self._times_a(np.abs(y), magnitude=True)
                 thr = tol * denom + 1e-12 * (1.0 + noise)
                 since_noise = 0
-            z = cost - y @ self.a_work
-            score = (z + thr) / denom  # eligible iff score < 0
-            score[~self.allowed] = np.inf
-            score[in_basis] = np.inf
-            score[banned] = np.inf
+            np.subtract(cost, self._times_a(y, out=z), out=z)
+            np.add(z, thr, out=score)
+            np.divide(score, denom, out=score)  # eligible iff score < 0
+            score[closed] = np.inf
 
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
@@ -573,14 +684,14 @@ class _SimplexCore:
                     return None
                 j = int(neg[0])
             else:
-                j = int(np.argmin(score))
+                j = int(score.argmin())
                 if score[j] >= 0.0:
                     if since_noise:
                         since_noise = 999
                         continue
                     return None
 
-            d = self.b_inv @ self.a_work[:, j]
+            d = self._ftran(j)
             pos = np.nonzero(d > tol)[0]
             if pos.size == 0:
                 # Rule out factorization drift before declaring unboundedness.
@@ -590,36 +701,44 @@ class _SimplexCore:
                     np.maximum(self.x_b, 0.0, out=self.x_b)
                     since_refactor = 0
                     since_noise = 999
-                    banned[:] = False
+                    self._close(closed)
                     ray_verified = True
                     continue
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _refined_solve(self.a_work[:, self.basis].T, cost[self.basis])
-                z_acc = cost[j] - float(y_acc @ self.a_work[:, j])
-                noise_j = 1.0 + float(np.abs(y_acc) @ abs_a[:, j])
+                y_acc = _refined_solve(_basis_matrix(self.a, self.basis).T, cost[self.basis])
+                dot, magnitude = self._column_dots(y_acc, j)
+                z_acc = cost[j] - dot
+                noise_j = 1.0 + magnitude
                 if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):
-                    banned[j] = True
+                    closed[j] = True
                     ray_verified = False
                     continue
                 return STATUS_UNBOUNDED if phase == 2 else STATUS_NUMERICAL
             ray_verified = False
-            ratios = self.x_b[pos] / d[pos]
+            ratios = self.x_b[pos]
+            ratios /= d[pos]
             theta = float(ratios.min())
             tie = pos[ratios <= theta + 1e-9 * (1.0 + abs(theta))]
-            if bland:
+            if tie.size == 1:
+                row = int(tie[0])
+            elif bland:
                 row = int(tie[np.argmin(self.basis[tie])])
             else:
                 # Prefer a well-sized pivot among (near-)tied ratios; tiny
                 # pivots degrade the basis conditioning under degeneracy.
-                solid = tie[d[tie] >= 1e-7]
-                pick = solid if solid.size else tie
-                row = int(pick[np.argmax(d[pick])])
+                d_tie = d[tie]
+                solid = d_tie >= 1e-7
+                if solid.any():
+                    tie, d_tie = tie[solid], d_tie[solid]
+                row = int(tie[np.argmax(d_tie)])
 
-            in_basis[self.basis[row]] = False
-            in_basis[j] = True
+            leaving = self.basis[row]
             self._pivot(row, j, d)
+            # A basic column is never banned, so only a disallowed one stays closed.
+            closed[leaving] = not self.allowed[leaving]
+            closed[j] = True
 
             stall += 1
             if stall % 4 == 0 or stall > opts.stall_iterations:

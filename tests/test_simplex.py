@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -266,3 +267,146 @@ def test_retry_counts_both_attempts(monkeypatch):
     (first, _), (second, cautious) = attempts
     assert first > 0 and sol.iterations == first + second
     assert (cautious.refactor_every, cautious.stall_iterations) == (20, 40)
+
+
+def artificial_heavy_problem(rng: np.random.Generator, n_vars: int, n_rows: int, bounded: bool) -> LpProblem:
+    """A random LP whose standard form leans on artificial columns.
+
+    Half its rows are equalities and a third are ``>=`` rows, 40% of the
+    variables are free (mirrored columns), a fifth of the rows touch only
+    variables that are zero at the feasible point (so equalities among them
+    have degenerate artificials, which phase 1 can leave basic and the
+    drive-out pivots away), and some equalities appear again doubled
+    (redundant rows, whose artificials stay basic at zero).  Without upper
+    bounds the standard form has no slack columns after the structural ones,
+    so the dense prefix reaches into the artificial block.
+    """
+    a = rng.uniform(-2.0, 2.0, size=(n_rows, n_vars))
+    a[rng.uniform(size=a.shape) < 0.4] = 0.0
+    free = rng.uniform(size=n_vars) < 0.4
+    x_feas = np.where(free, rng.uniform(-3.0, 3.0, n_vars), rng.uniform(0.0, 3.0, n_vars))
+    at_zero = ~free & (rng.uniform(size=n_vars) < 0.3)
+    x_feas[at_zero] = 0.0
+    homogeneous = rng.uniform(size=n_rows) < 0.2
+    a[np.ix_(homogeneous, ~at_zero)] = 0.0
+    kind = rng.choice(3, size=n_rows, p=[0.5, 0.35, 0.15])
+    ax = a @ x_feas
+    room = rng.uniform(0.0, 2.0, n_rows)
+    b = np.where(kind == 0, ax, np.where(kind == 1, ax - room, ax + room))
+    senses = [("eq", "ge", "le")[k] for k in kind]
+    eq = np.flatnonzero(kind == 0)
+    again = eq[rng.uniform(size=eq.size) < 0.3]
+    a = np.vstack([a, 2.0 * a[again]])
+    b = np.concatenate([b, 2.0 * b[again]])
+    senses += ["eq"] * again.size
+    rows, cols = np.nonzero(a)
+    return LpProblem(
+        c=rng.uniform(-1.0, 1.0, n_vars),
+        a_rows=rows.astype(np.int64),
+        a_cols=cols.astype(np.int64),
+        a_vals=a[rows, cols],
+        senses=senses,
+        b=b,
+        lb=np.where(free, -np.inf, 0.0),
+        ub=np.full(n_vars, 10.0 if bounded else np.inf),
+        row_labels=[f"r{i}" for i in range(a.shape[0])],
+        col_labels=[f"x{j}" for j in range(n_vars)],
+    )
+
+
+def test_implicit_unit_columns_keep_artificial_heavy_answers():
+    real_drive = simplex_mod._SimplexCore._drive_out_artificials
+    real_split = simplex_mod._SimplexCore._split_columns
+    drove_out, prefix_reaches_artificials, artificial_stays = [], [], []
+
+    def drive(core):
+        before = core.basis.copy()
+        real_drive(core)
+        drove_out.append(not np.array_equal(before, core.basis))
+
+    def split(core, missing):
+        real_split(core, missing)
+        prefix_reaches_artificials.append(core.dense.shape[1] > core.n)
+
+    rng = np.random.default_rng(11)
+    with mock.patch.object(simplex_mod._SimplexCore, "_drive_out_artificials", drive), mock.patch.object(
+        simplex_mod._SimplexCore, "_split_columns", split
+    ):
+        for n, m in [(4, 3), (10, 8), (25, 20), (40, 45), (70, 60)]:
+            for bounded in (False, True):
+                for _ in range(3):
+                    problem = artificial_heavy_problem(rng, n, m, bounded)
+                    sol = assert_same_bytes_as_broadcast_core(problem)
+                    n_std = simplex_mod._Standardizer(problem).a_std.shape[1]
+                    artificial_stays.append(sol.basis is not None and max(sol.basis, default=-1) >= n_std)
+    assert any(drove_out) and any(prefix_reaches_artificials) and any(artificial_stays)
+
+
+def test_optimal_slack_basis_computes_no_inverse():
+    # min x + y  s.t.  x + y <= 4,  x <= 3: the slack basis is already optimal.
+    bld = LpBuilder()
+    x = bld.add_col("x", cost=1.0)
+    y = bld.add_col("y", cost=1.0)
+    r0 = bld.add_row("cap", "le", 4.0)
+    r1 = bld.add_row("x_cap", "le", 3.0)
+    bld.add_entry(r0, x, 1.0)
+    bld.add_entry(r0, y, 1.0)
+    bld.add_entry(r1, x, 1.0)
+    sol = solve(bld.build())
+    assert sol.status == "optimal"
+    assert (sol.iterations, sol.phase1_iterations, sol.inverses) == (1, 0, 0)
+
+
+def _doc8_2030(doc8, base_scenario):
+    network = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+    return translate(network, phase_out(fleet_from_document(doc8), 2030))
+
+
+def _count_inverses(problem):
+    real = np.linalg.inv
+    calls = []
+    with mock.patch.object(np.linalg, "inv", lambda a: calls.append(a.shape) or real(a)):
+        sol = solve(problem)
+    return sol, len(calls)
+
+
+def test_fixture_solve_skips_two_discarded_inverses(doc8, base_scenario):
+    problem = _doc8_2030(doc8, base_scenario)
+    sol, calls = _count_inverses(problem)
+    with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
+        _, broadcast_calls = _count_inverses(problem)
+    assert sol.status == "optimal"
+    assert sol.inverses == calls == broadcast_calls - 2
+    assert 0 < sol.phase1_iterations < sol.iterations
+
+
+def test_optimal_solve_refines_one_primal_and_one_dual(doc8, base_scenario, monkeypatch):
+    # The polish takes the basic solution from the restoration's refined
+    # solve of the same final basis instead of solving for it again.
+    problem = _doc8_2030(doc8, base_scenario)
+    b_std = simplex_mod._Standardizer(problem).b_std
+    real = simplex_mod._refined_solve
+    rhs = []
+    monkeypatch.setattr(simplex_mod, "_refined_solve", lambda a, b, steps=2: rhs.append(b) or real(a, b, steps))
+    assert solve(problem).status == "optimal"
+    primal = sum(np.array_equal(b, b_std) for b in rhs)
+    assert (primal, len(rhs) - primal) == (1, 1)
+
+
+def test_retry_sums_phase1_iterations_and_inverses(monkeypatch):
+    real = simplex_mod._solve_standardized
+    attempts = []
+
+    def fail_first(problem, std, options):
+        sol = real(problem, std, options)
+        attempts.append((sol.phase1_iterations, sol.inverses))
+        if len(attempts) == 1:
+            return replace(sol, status="numerical_failure")
+        return sol
+
+    monkeypatch.setattr(simplex_mod, "_solve_standardized", fail_first)
+    sol = solve(artificial_heavy_problem(np.random.default_rng(0), 70, 60, bounded=True))
+    assert sol.status == "optimal"
+    (phase1_first, inverses_first), (phase1_second, inverses_second) = attempts
+    assert phase1_first > 0 and inverses_first > 0
+    assert (sol.phase1_iterations, sol.inverses) == (phase1_first + phase1_second, inverses_first + inverses_second)
