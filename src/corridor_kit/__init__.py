@@ -43,7 +43,6 @@ from .reduction import (
     AggregationMap,
     Segmentation,
     aggregate_build_years,
-    apply_segmentation,
     disaggregate,
     reduce_document,
     segment,

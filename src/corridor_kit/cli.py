@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import intervals_from_records, report, sensitivity, subsidy
+from .analysis import _write_csv, intervals_from_records, report, sensitivity, subsidy
 from .fixture import fixture_document
 from .network import ValidationError, build_network
 from .reduction import reduce_document
@@ -35,6 +35,20 @@ def _load_model(path: str) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UserError(f"model file is not valid JSON: {exc}") from exc
+
+
+def _load_manifest(path: str) -> RunManifest:
+    try:
+        return RunManifest.from_json(Path(path).read_text())
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise UserError(f"invalid manifest {path}: {exc!r}") from exc
+
+
+def _reduce(document: dict, segments: int) -> dict:
+    try:
+        return reduce_document(document, segments)
+    except ValueError as exc:
+        raise UserError(f"cannot segment the model: {exc}") from exc
 
 
 def _parse_horizons(spec: str) -> list[int]:
@@ -109,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.manifest:
-        manifest = RunManifest.from_json(Path(args.manifest).read_text())
+        manifest = _load_manifest(args.manifest)
         out = manifest.out
         model_path, scenarios_path = manifest.model, manifest.scenarios
         epsilons, horizons = list(manifest.epsilons), list(manifest.horizons)
@@ -134,8 +148,8 @@ def _cmd_run(args) -> int:
             flows=flows,
         )
     document = _load_model(model_path)
-    if segments:
-        document = reduce_document(document, segments)
+    if segments is not None:
+        document = _reduce(document, segments)
     categories = load_categories(None if scenarios_path in ("<bundled>", None) else scenarios_path)
     scenarios = enumerate_scenarios(categories)
     records, _ = run_matrix(
@@ -167,7 +181,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     document = _load_model(args.model)
-    reduced = reduce_document(document, args.segments)
+    reduced = _reduce(document, args.segments)
     Path(args.out).write_text(json.dumps(reduced, indent=1) + "\n")
     print(f"wrote {args.out} with {args.segments} snapshots")
     return 0
@@ -270,14 +284,8 @@ def _cmd_subsidy(args) -> int:
     mean_rate = sum(r[1] for r in rows) / len(rows)
     mean_volume = sum(r[2] for r in rows) / len(rows)
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["scenario_id", "rate_eur_per_kg", "volume_eur_per_year"])
-            for sid, rate, volume in rows:
-                writer.writerow([sid, repr(rate), repr(volume)])
-            writer.writerow(["MEAN", repr(mean_rate), repr(mean_volume)])
+        header = ["scenario_id", "rate_eur_per_kg", "volume_eur_per_year"]
+        _write_csv(args.out, header, [*rows, ("MEAN", mean_rate, mean_volume)])
         print(f"wrote {args.out}")
     print(
         f"target {args.target_mt} Mt at {args.horizon}: mean subsidy "

@@ -12,8 +12,8 @@ The horizon loop (phase-out, carry-over, build, translate, extract) lives
 in :mod:`corridor_kit.pathway`; this module supplies only the budgeted
 per-horizon step that replaces the cost-optimal solve.  Each horizon's
 network is taken from the optimal pathway's step, so a (scenario, horizon)
-network is built once for all its pathways; so is the first horizon's LP,
-which every pathway enters with the same fleet.
+network is built once for all its pathways; the pathways share nothing else,
+and each translates its own LPs.
 
 The reported ranges are conservative: the extremum at horizon ``i`` is taken
 over solutions reachable from this lineage's predecessor only, whereas the
@@ -145,9 +145,9 @@ def run_extremal_pathway(
 
     ``optimal_steps`` is the cost-optimal chain of the same scenario; it must
     cover every requested horizon with an optimal record, whose cost is that
-    horizon's ``c_star`` and whose network (and, at the optimal chain's first
-    horizon for the same entering fleet, translated LP) is reused rather than
-    rebuilt.  A failed extremization is recorded and aborts the chain.
+    horizon's ``c_star`` and whose network is shared rather than rebuilt;
+    nothing else is shared.  A failed extremization is recorded and aborts the
+    chain.
     """
     optimal_of = {
         s.record.horizon: s
@@ -167,4 +167,5 @@ def run_extremal_pathway(
             solution = _cheapest_representative(budgeted, solution, slack.sense, solver_options)
         return slack.sense, slack.epsilon, budgeted, solution, mu
 
-    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, optimal_of)
+    networks = {h: s.network for h, s in optimal_of.items()}
+    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks)

@@ -4,8 +4,8 @@ Each planning horizon is optimized without foresight of later ones; unexpired
 capacity built at earlier horizons is carried forward with parameters frozen
 as built, and assets at the end of their lifetime are phased out.  The same
 horizon loop drives the min/max pathways of :mod:`corridor_kit.mga`, which
-supply only a budgeted per-horizon solve and reuse the optimal chain's
-networks and first-horizon LP.
+supply only a budgeted per-horizon solve and share the optimal chain's
+networks; every chain translates its own LPs.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fleet import Fleet, FleetEntry, fleet_from_document
-from .lp import LpProblem
 from .network import Network, build_network
-from .reduction import AggregationMap, aggregate_build_years, disaggregate
+from .reduction import aggregate_build_years, disaggregate
 from .scenarios import Scenario, apply_scenario
 from .simplex import SolverOptions, solve
 from .translate import DispatchResult, extract, translate
@@ -54,10 +53,6 @@ class HorizonStep:
     dispatch: DispatchResult | None
     fleet: Fleet  # the fleet entering this horizon (after phase-out)
     network: Network | None = None
-    # A chain's first step keeps its translated LP (before the step's changes)
-    # and aggregation map, for other chains entering that horizon with the same fleet.
-    problem: LpProblem | None = None
-    agg_map: AggregationMap | None = None
 
 
 def phase_out(fleet: Fleet, horizon: int) -> Fleet:
@@ -124,17 +119,15 @@ def run_optimal_pathway(
     return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)
 
 
-def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, known=None):
+def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks=None):
     """The myopic horizon loop shared by the optimal and the min/max pathways.
 
     ``step(problem, horizon, is_last)`` solves one horizon's translated LP and
     returns ``(sense, epsilon, solved_problem, solution, mu)``; the dispatch is
     extracted from ``solved_problem``, whose cost vector prices ``cost_eur``.
-    A non-optimal solution is recorded and aborts the chain.  ``known`` maps
-    each horizon to another chain's step of the same scenario: its network is
-    reused, and so is the LP that chain translated at its first horizon when
-    this chain enters that horizon with the same fleet.  Without it each
-    horizon's network is built and its LP translated here.
+    A non-optimal solution is recorded and aborts the chain.  ``networks``
+    maps each horizon to the scenario's network, built by another chain;
+    without it each horizon's network is built here.
     """
     steps: list[HorizonStep] = []
     fleet = initial_fleet if initial_fleet is not None else fleet_from_document(document)
@@ -144,27 +137,16 @@ def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, kno
             fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
         else:
             fleet = phase_out(fleet, horizon)
-        seen = known[horizon] if known is not None else None
-        if seen is not None:
-            network = seen.network
+        if networks is not None:
+            network = networks[horizon]
         else:
             network = apply_scenario(build_network(document, horizon), scenario, horizon)
-        if (
-            seen is not None
-            and seen.problem is not None
-            and seen.fleet == fleet
-            and (seen.agg_map is not None) == bool(aggregate)
-        ):
-            problem, agg_map = seen.problem, seen.agg_map  # same network and fleet: same LP
-        else:
-            work_fleet, agg_map = fleet, None
-            if aggregate:
-                # Expiry may be ignored here: the grouping lives only inside this
-                # horizon's solve, on a fleet already phased out for it.
-                work_fleet, agg_map = aggregate_build_years(
-                    fleet, exempt_asset_ids(network), expiry_exact=False
-                )
-            problem = translate(network, work_fleet)
+        work_fleet, agg_map = fleet, None
+        if aggregate:
+            # The grouping lives only inside this horizon's solve, on a fleet
+            # already phased out for it.
+            work_fleet, agg_map = aggregate_build_years(fleet, exempt_asset_ids(network))
+        problem = translate(network, work_fleet)
         sense, epsilon, solved, solution, mu = step(problem, horizon, horizon == horizons[-1])
         dispatch, values = None, {}
         if solution.status == "optimal":
@@ -181,8 +163,6 @@ def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, kno
             **values,
         )
         prev = HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
-        if not steps:
-            prev.problem, prev.agg_map = problem, agg_map
         steps.append(prev)
         if dispatch is None:
             break

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fleet import Fleet, FleetEntry
-from .network import Network, SnapshotSet
 from .translate import DispatchResult
 
 
@@ -91,32 +90,18 @@ def segment(series_matrix: np.ndarray, n: int, weights: np.ndarray | None = None
     )
 
 
-def apply_segmentation(network: Network, segmentation: Segmentation) -> Network:
-    """Replace snapshots by segments; profiles become weighted segment means.
-
-    Weighted totals are preserved exactly: the mean times the segment weight
-    equals the sum of the original weighted values.
-    """
-    if segmentation.orig_weights.size != network.snapshots.count:
-        raise ValueError("segmentation was built for a different snapshot set")
-    assets = []
-    for asset in network.assets:
-        changes = {}
-        if asset.availability is not None:
-            changes["availability"] = segmentation.reduce_series(asset.availability)
-        if asset.availability_variants:
-            changes["availability_variants"] = {
-                name: segmentation.reduce_series(prof)
-                for name, prof in asset.availability_variants.items()
-            }
-        if asset.demand is not None:
-            changes["demand"] = segmentation.reduce_series(asset.demand)
-        assets.append(replace(asset, **changes) if changes else asset)
-    return replace(
-        network,
-        assets=tuple(assets),
-        snapshots=SnapshotSet(segmentation.seg_weights),
-    )
+def _profile_refs(asset: dict):
+    """``(container, key)`` of every per-snapshot profile of one asset document."""
+    availability = asset.get("availability")
+    if isinstance(availability, dict) and "variants" in availability:
+        variants = availability["variants"]
+        yield from ((variants, name) for name in variants)
+    elif availability is not None:
+        yield asset, "availability"
+    if asset.get("shape") is not None:
+        yield asset, "shape"
+    if isinstance(asset.get("demand_mw"), (list, tuple)):
+        yield asset, "demand_mw"
 
 
 def reduce_document(document: dict, n: int) -> dict:
@@ -127,45 +112,17 @@ def reduce_document(document: dict, n: int) -> dict:
     one consistent grouping serves every scenario.
     """
     weights = np.asarray(document["snapshots"]["weights"], dtype=float)
-    series: list[np.ndarray] = []
-
-    def gather(values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 1 and arr.size == weights.size:
-            series.append(arr)
-
-    for asset in document.get("assets", []):
-        availability = asset.get("availability")
-        if isinstance(availability, dict) and "variants" in availability:
-            for prof in availability["variants"].values():
-                gather(prof)
-        elif availability is not None:
-            gather(availability)
-        if asset.get("shape") is not None:
-            gather(asset["shape"])
-        if isinstance(asset.get("demand_mw"), (list, tuple)):
-            gather(asset["demand_mw"])
+    doc = copy.deepcopy(document)
+    refs = [ref for asset in doc.get("assets", []) for ref in _profile_refs(asset)]
+    profiles = [np.asarray(container[key], dtype=float) for container, key in refs]
+    series = [p for p in profiles if p.ndim == 1 and p.size == weights.size]
     if not series:
         raise ValueError("document has no per-snapshot series to segment")
 
     seg = segment(np.column_stack(series), n, weights)
-    doc = copy.deepcopy(document)
     doc["snapshots"]["weights"] = seg.seg_weights.tolist()
-    for asset in doc.get("assets", []):
-        availability = asset.get("availability")
-        if isinstance(availability, dict) and "variants" in availability:
-            availability["variants"] = {
-                name: seg.reduce_series(np.asarray(prof, dtype=float)).tolist()
-                for name, prof in availability["variants"].items()
-            }
-        elif availability is not None:
-            asset["availability"] = seg.reduce_series(np.asarray(availability, dtype=float)).tolist()
-        if asset.get("shape") is not None:
-            asset["shape"] = seg.reduce_series(np.asarray(asset["shape"], dtype=float)).tolist()
-        if isinstance(asset.get("demand_mw"), (list, tuple)):
-            asset["demand_mw"] = seg.reduce_series(
-                np.asarray(asset["demand_mw"], dtype=float)
-            ).tolist()
+    for (container, key), profile in zip(refs, profiles):
+        container[key] = seg.reduce_series(profile).tolist()
     return doc
 
 
@@ -177,18 +134,15 @@ class AggregationMap:
     exempt: frozenset
 
 
-def aggregate_build_years(
-    fleet: Fleet, exemptions=frozenset(), expiry_exact: bool = True
-) -> tuple[Fleet, AggregationMap]:
-    """Merge fleet entries identical except for build year.
+def aggregate_build_years(fleet: Fleet, exemptions=frozenset()) -> tuple[Fleet, AggregationMap]:
+    """Merge fleet entries identical except for build year and expiry.
 
-    With ``expiry_exact`` (the default, suitable for fleets that persist
-    across horizons) entries merge only when asset, frozen parameters and
-    expiry year all match, so phase-out behaviour is exactly preserved.  With
-    ``expiry_exact=False`` the expiry is ignored; that is only valid for a
-    fleet already phased out at one horizon and discarded after its solve,
-    where co-active same-parameter vintages are interchangeable.  Exempt
-    assets (time-varying parameters) pass through untouched.
+    Entries merge when asset and frozen parameters match; expiry is ignored.
+    Precondition: the fleet is already phased out at one horizon and is
+    discarded after that horizon's solve, where co-active same-parameter
+    vintages are interchangeable.  A merged entry does not preserve its
+    members' phase-out years, so it must not be carried to a later horizon.
+    Exempt assets (time-varying parameters) pass through untouched.
     """
     exemptions = frozenset(exemptions)
     merged: list[FleetEntry] = []
@@ -199,11 +153,7 @@ def aggregate_build_years(
         if entry.asset_id in exemptions:
             passthrough.append(entry)
             continue
-        key = (
-            entry.asset_id,
-            entry.expiry_year() if expiry_exact else None,
-            _params_key(entry.params),
-        )
+        key = (entry.asset_id, _params_key(entry.params))
         buckets.setdefault(key, []).append(entry)
     for key in sorted(buckets, key=str):
         members = sorted(buckets[key], key=lambda e: e.build_year)

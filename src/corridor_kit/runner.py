@@ -21,12 +21,14 @@ from pathlib import Path
 logger = logging.getLogger(__name__)
 
 from . import __version__
+from .analysis import _write_csv
 from .mga import SlackSpec, run_extremal_pathway
 from .pathway import HorizonStep, PathwayRecord, run_optimal_pathway
 from .scenarios import Scenario
 from .simplex import SolverOptions
 
 RECORD_COLUMNS = ["scenario_id", "horizon", "sense", "epsilon", "status", "cost_eur", "h2_mt", "mu_raw"]
+FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class RunManifest:
     tool_version: str = __version__
     segments: int | None = None
     flows: bool = False
-    deterministic: bool = True
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -54,6 +55,7 @@ class RunManifest:
         data["epsilons"] = tuple(data["epsilons"])
         data["horizons"] = tuple(data["horizons"])
         data.pop("tool_version", None)
+        data.pop("deterministic", None)  # written by older versions, never read
         return cls(**data)
 
 
@@ -61,14 +63,6 @@ def _record_order(record: PathwayRecord) -> tuple:
     """Canonical record order: scenario, horizon, sense, then slack (optimal first)."""
     eps = -1.0 if record.epsilon is None else record.epsilon
     return (record.scenario_id, record.horizon, record.sense, eps)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 class ResultsStore:
@@ -84,20 +78,15 @@ class ResultsStore:
 
     def write_records(self, records: list[PathwayRecord]) -> None:
         self.path.mkdir(parents=True, exist_ok=True)
-        with open(self.path / "records.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_COLUMNS)
-            for rec in sorted(records, key=_record_order):
-                writer.writerow([_fmt(getattr(rec, col)) for col in RECORD_COLUMNS])
+        rows = (
+            [getattr(rec, col) for col in RECORD_COLUMNS] for rec in sorted(records, key=_record_order)
+        )
+        _write_csv(self.path / "records.csv", RECORD_COLUMNS, rows)
 
     def write_flows(self, key: str, flow_rows) -> None:
         flows_dir = self.path / "flows"
         flows_dir.mkdir(parents=True, exist_ok=True)
-        with open(flows_dir / f"{key}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["carrier", "bus", "asset_id", "instance_id", "annual_mwh"])
-            for row in flow_rows:
-                writer.writerow([_fmt(v) for v in row])
+        _write_csv(flows_dir / f"{key}.csv", FLOW_COLUMNS, flow_rows)
 
     def write_error(self, scenario_id: str, text: str) -> None:
         errors_dir = self.path / "errors"
@@ -147,7 +136,6 @@ def run_scenario(
     horizons,
     flows: bool = False,
     solver_options: SolverOptions | None = None,
-    aggregate: bool = True,
     outcome: ScenarioOutcome | None = None,
 ) -> ScenarioOutcome:
     """Optimal pathway, then min and max pathways per slack level.
@@ -167,7 +155,7 @@ def run_scenario(
 
     outcome.chain = ("optimal", None, min(horizons))
     optimal = run_optimal_pathway(
-        document, list(horizons), scenario, solver_options=solver_options, aggregate=aggregate
+        document, list(horizons), scenario, solver_options=solver_options, aggregate=True
     )
     collect(optimal)
     covered = [s.record.horizon for s in optimal if s.record.status == "optimal"]
@@ -183,7 +171,7 @@ def run_scenario(
                 SlackSpec(epsilon, sense),
                 optimal,
                 solver_options=solver_options,
-                aggregate=aggregate,
+                aggregate=True,
             )
             collect(steps)
     _log_nesting_violations(outcome.records, covered)
@@ -221,10 +209,10 @@ def _log_nesting_violations(records: list[PathwayRecord], horizons) -> None:
 
 
 def _worker(args) -> ScenarioOutcome:
-    document, scenario, epsilons, horizons, flows, options, aggregate = args
+    document, scenario, epsilons, horizons, flows, options = args
     outcome = ScenarioOutcome(scenario_id=scenario.id, chain=("optimal", None, min(horizons)))
     try:
-        return run_scenario(document, scenario, epsilons, horizons, flows, options, aggregate, outcome)
+        return run_scenario(document, scenario, epsilons, horizons, flows, options, outcome)
     except Exception:  # the crashed chain becomes one record; finished chains are kept
         outcome.error = traceback.format_exc()
         sense, epsilon, horizon = outcome.chain
@@ -249,7 +237,6 @@ def run_matrix(
     out_dir=None,
     flows: bool = False,
     solver_options: SolverOptions | None = None,
-    aggregate: bool = True,
     manifest: RunManifest | None = None,
 ) -> tuple[list[PathwayRecord], ResultsStore | None]:
     """Run the whole scenario matrix; records are canonically ordered.
@@ -274,7 +261,7 @@ def run_matrix(
         store.write_manifest(manifest)
 
     tasks = [
-        (document, scenario, tuple(sorted(epsilons)), tuple(horizons), flows, solver_options, aggregate)
+        (document, scenario, tuple(sorted(epsilons)), tuple(horizons), flows, solver_options)
         for scenario in sorted(scenarios, key=lambda s: s.id)
     ]
     outcomes: list[ScenarioOutcome]

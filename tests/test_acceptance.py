@@ -335,6 +335,7 @@ def test_criterion_11_segmentation_fidelity(fixture_doc, doc8, base_scenario):
         full = float(asset.demand @ net32.snapshots.weights)
         red = float(net8.asset(asset.id).demand @ net8.snapshots.weights)
         assert red == pytest.approx(full, rel=1e-12)
+    assert net8.snapshots.total_hours == pytest.approx(8760.0)
 
     costs = {}
     for label, doc in (("8", doc8), ("32", fixture_doc)):

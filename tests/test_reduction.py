@@ -7,7 +7,6 @@ from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.network import build_network
 from corridor_kit.reduction import (
     aggregate_build_years,
-    apply_segmentation,
     disaggregate,
     reduce_document,
     segment,
@@ -55,30 +54,13 @@ def test_segment_bad_target_rejected():
         segment(np.zeros((0, 1)), 1)
 
 
-def test_apply_segmentation_preserves_weighted_demand(fixture_doc):
-    doc8 = reduce_document(fixture_doc, 8)
-    net32 = build_network(fixture_doc, 2030)
-    net8 = build_network(doc8, 2030)
-    for asset in net32.assets:
-        if asset.kind != "load":
-            continue
-        full = float(asset.demand @ net32.snapshots.weights)
-        red = float(net8.asset(asset.id).demand @ net8.snapshots.weights)
-        assert red == pytest.approx(full, rel=1e-12)
-    assert net8.snapshots.total_hours == pytest.approx(8760.0)
-
-
 def test_apply_segmentation_identity_unchanged(doc8):
-    net = build_network(doc8, 2030)
-    series = np.column_stack(
-        [a.availability for a in net.assets if a.availability is not None]
-    )
-    seg = segment(series, net.snapshots.count, net.snapshots.weights)
-    same = apply_segmentation(net, seg)
-    for a, b in zip(net.assets, same.assets):
+    same = reduce_document(doc8, 8)
+    net, red = build_network(doc8, 2030), build_network(same, 2030)
+    for a, b in zip(net.assets, red.assets):
         if a.availability is not None:
             assert np.allclose(a.availability, b.availability)
-    assert np.allclose(same.snapshots.weights, net.snapshots.weights)
+    assert np.allclose(red.snapshots.weights, net.snapshots.weights)
 
 
 def test_segmentation_error_monotone_in_resolution(fixture_doc, base_scenario):
@@ -114,16 +96,9 @@ def test_aggregate_same_expiry_merges():
     assert len(amap.groups) == 1
 
 
-def test_aggregate_different_expiry_not_merged():
-    fleet = Fleet((wind_entry(2010, 100.0, 30), wind_entry(2015, 150.0, 30)))
-    merged, amap = aggregate_build_years(fleet)
-    assert len(merged) == 2
-    assert not amap.groups
-
-
 def test_aggregate_within_horizon_ignores_expiry():
     fleet = Fleet((wind_entry(2010, 100.0, 30), wind_entry(2015, 150.0, 30)))
-    merged, amap = aggregate_build_years(fleet, expiry_exact=False)
+    merged, amap = aggregate_build_years(fleet)
     assert len(merged) == 1
     assert merged.entries[0].capacity_mw == pytest.approx(250.0)
 

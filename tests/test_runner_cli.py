@@ -1,6 +1,6 @@
 import json
 import logging
-from pathlib import Path
+from importlib import resources
 
 import pytest
 
@@ -109,31 +109,36 @@ def test_worker_crash_keeps_finished_chains(doc8, tiny_scenarios, tmp_path, monk
     assert "max chain exploded" in (store.path / "errors" / f"{scenario.id}.txt").read_text()
 
 
-def test_first_horizon_translated_once(fixture_doc, tiny_scenarios, monkeypatch):
-    real = pathway_mod.translate
-    horizons = []
+def test_chains_share_networks(fixture_doc, tiny_scenarios, monkeypatch):
+    real_build, real_translate = pathway_mod.build_network, pathway_mod.translate
+    built, translated = [], []
 
-    def spy(network, fleet):
-        horizons.append(network.horizon)
-        return real(network, fleet)
+    def build_spy(document, horizon):
+        built.append(horizon)
+        return real_build(document, horizon)
 
-    monkeypatch.setattr(pathway_mod, "translate", spy)
+    def translate_spy(network, fleet):
+        translated.append(network.horizon)
+        return real_translate(network, fleet)
+
+    monkeypatch.setattr(pathway_mod, "build_network", build_spy)
+    monkeypatch.setattr(pathway_mod, "translate", translate_spy)
     outcome = runner_mod.run_scenario(
         reduce_document(fixture_doc, 2), tiny_scenarios[0], [0.02, 0.05, 0.10], [2030, 2035]
     )
     first = [r.status for r in outcome.records if r.horizon == 2030]
     assert first == ["optimal"] * 7 and len(outcome.records) == 2 * 7
-    # All seven chains enter 2030 with the document's fleet: one LP serves them.
-    assert horizons.count(2030) == 1
+    # The optimal chain builds each horizon's network; the six extremal chains
+    # share it, and every chain translates its own LP.
+    assert built == [2030, 2035]
+    assert translated.count(2030) == 7
 
 
 def write_tiny_inputs(tmp_path, doc8):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc8))
     scen = tmp_path / "scenarios.json"
-    bundled = json.loads(
-        Path("src/corridor_kit/data/scenarios.json").read_text()
-    )
+    bundled = json.loads(resources.files("corridor_kit.data").joinpath("scenarios.json").read_text())
     for cat in bundled["categories"]:
         keep = TINY_KEEP[cat["name"]]
         cat["levels"] = [l for l in cat["levels"] if l["name"] in keep]
@@ -231,3 +236,34 @@ def test_cli_sensitivity_needs_epsilon_for_min(tmp_path, doc8):
     main(["run", "--model", str(model), "--scenarios", str(scen), "--epsilon", "0.05",
           "--horizons", "2030", "--jobs", "1", "--out", str(store_dir)])
     assert main(["sensitivity", "--store", str(store_dir), "--sense", "min"]) == 1
+
+
+def test_cli_run_malformed_manifest_exit_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{not json")
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    assert "invalid manifest" in capsys.readouterr().err
+
+
+def test_cli_run_manifest_missing_keys_exit_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"epsilons": [0.05], "horizons": [2030]}))
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    assert "invalid manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("segments", ["40", "0"])
+def test_cli_reduce_segments_out_of_range_exit_1(tmp_path, segments, capsys):
+    out = tmp_path / "reduced.json"
+    rc = main(["reduce", "--model", "fixture", "--segments", segments, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert "outside 1..32" in capsys.readouterr().err
+
+
+def test_cli_run_segments_zero_exit_1(tmp_path, doc8, capsys):
+    model, scen = write_tiny_inputs(tmp_path, doc8)
+    store_dir = tmp_path / "store"
+    rc = main(["run", "--model", str(model), "--scenarios", str(scen), "--segments", "0",
+               "--epsilon", "0.05", "--horizons", "2030", "--out", str(store_dir)])
+    assert rc == 1 and not store_dir.exists()
+    assert "outside 1..8" in capsys.readouterr().err
