@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 user error (bad paths, bad flags, invalid model),
 2 internal error.  All configuration lives in flags or a manifest file; no
-environment variables are consulted.
+environment variables are consulted (the manifest records the BLAS thread
+variables, but only as provenance).
 """
 
 from __future__ import annotations
@@ -147,6 +148,10 @@ def _cmd_run(args) -> int:
             segments=segments,
             flows=flows,
         )
+    if not all(eps >= 0 for eps in epsilons):
+        raise UserError(f"slack levels must be >= 0, got {epsilons}")
+    if any(later <= earlier for earlier, later in zip(horizons, horizons[1:])):
+        raise UserError(f"horizons must be strictly increasing, got {horizons}")
     document = _load_model(model_path)
     if segments is not None:
         document = _reduce(document, segments)

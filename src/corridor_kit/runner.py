@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +33,26 @@ from .simplex import SolverOptions
 RECORD_COLUMNS = ["scenario_id", "horizon", "sense", "epsilon", "status", "cost_eur", "h2_mt", "mu_raw"]
 FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
 
+# The variables that set the BLAS thread count.  The explicit basis inverse's
+# answer bits depend on it for products of more than 460,800 entries.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _provenance() -> dict:
+    """This process's numerical environment: numpy, its BLAS and the BLAS thread variables."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -42,6 +65,8 @@ class RunManifest:
     tool_version: str = __version__
     segments: int | None = None
     flows: bool = False
+    # Recorded for the reader, not enforced: a rerun records its own.
+    provenance: dict = field(default_factory=_provenance, compare=False)
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -55,6 +80,7 @@ class RunManifest:
         data["epsilons"] = tuple(data["epsilons"])
         data["horizons"] = tuple(data["horizons"])
         data.pop("tool_version", None)
+        data.pop("provenance", None)
         data.pop("deterministic", None)  # written by older versions, never read
         return cls(**data)
 

@@ -32,8 +32,14 @@ STATUS_TIMEOUT = "timeout"
 # so a block's outer product stays in L2 cache while it is subtracted.
 _BLOCK_ENTRIES = 32768
 
-# Column alignment of the simplex's dense prefix (see _SimplexCore).
+# Column alignment of the explicit inverse's dense prefix (see _ExplicitInverse).
 _ALIGN = 32
+
+# Standard-form rows from which the simplex inverts only the basis kernel
+# (_KernelFactor); smaller LPs keep the explicit inverse (_ExplicitInverse).
+# The measured crossover: a kernel iteration costs 1.02-1.62x an explicit one
+# at 119-136 rows and 0.69-1.13x (10 of 12 LPs below 1) at 148-202 rows.
+_KERNEL_MIN_ROWS = 140
 
 
 @dataclass
@@ -381,6 +387,22 @@ def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _unit_columns(a: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and sign of each signed unit column of the working matrix; sign 0 for the others.
+
+    The working matrix is ``a`` followed by one artificial column, +1 on its
+    row, for each row in ``missing``.
+    """
+    n = a.shape[1]
+    cols, rows, vals = _single_entries(a)
+    unit = np.abs(vals) == 1.0
+    unit_row = np.zeros(n + missing.size, dtype=np.int64)
+    unit_sign = np.zeros(n + missing.size)
+    unit_row[cols[unit]], unit_sign[cols[unit]] = rows[unit], vals[unit]
+    unit_row[n:], unit_sign[n:] = missing, 1.0
+    return unit_row, unit_sign
+
+
 def _block_buffer(m: int) -> np.ndarray:
     """Scratch rows for :func:`_rank1_update`: ``max(1, 32768 // m)`` of them, at most m."""
     return np.empty((min(m, max(1, _BLOCK_ENTRIES // m)), m))
@@ -404,19 +426,291 @@ def _rank1_update(b_inv: np.ndarray, x: np.ndarray, r: np.ndarray, block: np.nda
         np.subtract(target, product, out=target)
 
 
+class _ExplicitInverse:
+    """The basis inverse held explicitly, for LPs below ``_KERNEL_MIN_ROWS`` rows.
+
+    A pivot updates the m x m inverse with the blocked rank-1 update; a
+    refactorization inverts the whole basis.  Of the working matrix (``A``
+    followed by one artificial column for each row the slack basis leaves
+    uncovered) only the leading columns up to ``k``, the first multiple of 32
+    past the last column that is not a signed unit column, are held densely;
+    every column from ``k`` on (slacks and artificials) is a ``(row, sign)``
+    pair.  A unit column's product with a vector is one exact product and its
+    solve against the basis is a signed column of the inverse, so pricing and
+    every pivot are the ones the whole matrix would give.  The prefix product
+    equals the first ``k`` entries of the whole product byte for byte only
+    because ``k`` is aligned: a BLAS kernel finishes an unaligned column count
+    with a differently ordered tail.
+    """
+
+    def __init__(self, a: np.ndarray, missing: np.ndarray, basis: np.ndarray, etas: int):
+        self.a = a
+        self.m, self.n = a.shape
+        self.inverses = 0  # basis inverses computed
+        self.block = _block_buffer(self.m)
+        self._split_columns(missing)
+        self.b_inv = np.eye(self.m)  # the start basis is the identity
+
+    def _split_columns(self, missing: np.ndarray):
+        """Hold the working matrix as a dense prefix and ``(row, sign)`` unit columns."""
+        m, n = self.m, self.n
+        n_work = n + missing.size
+        unit_row, unit_sign = _unit_columns(self.a, missing)
+        dense_cols = np.flatnonzero(unit_sign == 0.0)
+        last = int(dense_cols[-1]) + 1 if dense_cols.size else 0
+        k = min(-(-last // _ALIGN) * _ALIGN, n_work)
+        if k <= n:
+            self.dense = self.a[:, :k]
+        else:  # the prefix reaches into the artificial block
+            art = np.zeros((m, k - n))
+            art[missing[: k - n], np.arange(k - n)] = 1.0
+            self.dense = np.concatenate([self.a, art], axis=1)
+        self.abs_dense = np.abs(self.dense)
+        self.unit_row, self.unit_sign = unit_row[k:], unit_sign[k:]
+
+    def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
+        """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
+        k = self.dense.shape[1]
+        if out is None:
+            out = np.empty(k + self.unit_row.size)
+        np.matmul(v, self.abs_dense if magnitude else self.dense, out=out[:k])
+        tail = v[self.unit_row]
+        if magnitude:
+            out[k:] = tail
+        else:
+            np.multiply(tail, self.unit_sign, out=out[k:])
+        return out
+
+    def column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
+        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
+        k = self.dense.shape[1]
+        if j < k:
+            return float(v @ self.dense[:, j]), float(np.abs(v) @ self.abs_dense[:, j])
+        entry = float(v[self.unit_row[j - k]])
+        return entry * float(self.unit_sign[j - k]), abs(entry)
+
+    def refactor(self, basis: np.ndarray) -> bool:
+        """Invert the basis afresh; False if it is singular."""
+        self.inverses += 1
+        try:
+            self.b_inv = np.linalg.inv(_basis_matrix(self.a, basis))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def ftran(self, j: int | np.ndarray) -> np.ndarray:
+        """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
+        if isinstance(j, np.ndarray):
+            return self.b_inv @ j
+        k = self.dense.shape[1]
+        if j < k:
+            return self.b_inv @ self.dense[:, j]
+        return self.unit_sign[j - k] * self.b_inv[:, self.unit_row[j - k]]
+
+    def btran(self, v: int | np.ndarray) -> np.ndarray:
+        """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position."""
+        if isinstance(v, np.ndarray):
+            return v @ self.b_inv
+        return self.b_inv[v]
+
+    def update(self, row: int, d: np.ndarray):
+        """Replace the basic column at ``row`` by the one whose FTRAN is ``d``."""
+        piv = d[row]
+        row_r = self.b_inv[row].copy()
+        _rank1_update(self.b_inv, d / piv, row_r, self.block)
+        self.b_inv[row] = row_r / piv
+
+
+class _KernelFactor:
+    """The inverse of the basis kernel and a product-form eta file, for larger LPs.
+
+    Every basic column that is a signed unit column (a slack, an artificial or
+    a unit structural column) pivots on its own row, so, reordered, the basis
+    is block triangular: ``[[K, 0], [C, D]]``.  ``D`` holds the signs of the
+    unit columns on their rows ``R_U``; the kernel ``K = B[R_S, S]`` is the
+    rest of the basis on the remaining rows, and the coupling block
+    ``C = B[R_U, S]`` is kept as triplets.  A refactorization inverts only
+    ``K``.  Pricing runs over the working matrix's triplets.
+
+    Between refactorizations each pivot appends one eta to a product-form
+    file, which is applied to a vector in one step.  A pivot on position
+    ``r`` with FTRAN column ``d`` sets entry ``r`` to ``t = w_r / d_r`` and
+    subtracts ``d_j t`` from every other entry ``j``.  Over ``k`` pivots the
+    values ``t`` solve a k x k lower triangular system ``L t = w[r]`` (the
+    right-hand side only for the first pivot on each position), and the
+    result is ``w`` with its pivoted entries zeroed plus ``N t``: column ``i``
+    of ``N`` is ``-d_i`` with 1 on its pivot row, and 0 on the rows a later
+    pivot sets again.  ``L^-1`` is kept explicitly and grows by one row per
+    pivot.  A pivoted entry thus takes its value from its own pivot, never as
+    the difference of two large terms, whose rounding would leave noise where
+    a degenerate position should read exactly zero.
+    """
+
+    def __init__(self, a: np.ndarray, missing: np.ndarray, basis: np.ndarray, etas: int):
+        self.a = a
+        m, n = a.shape
+        self.m = m
+        n_work = n + missing.size
+        self.n_work = n_work
+        self.inverses = 0  # kernel inverses computed
+        # The working matrix column by column: A's nonzeros, then the artificials.
+        cols, rows = np.nonzero(a.T)
+        self.rows = np.concatenate([rows, missing])
+        self.cols = np.concatenate([cols, n + np.arange(missing.size)])
+        self.vals = np.concatenate([a[rows, cols], np.ones(missing.size)])
+        self.abs_vals = np.abs(self.vals)
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=n_work))])
+        self.unit_row, self.unit_sign = _unit_columns(a, missing)
+        # The eta file: N transposed (one row per pivot), L^-1, pivot positions
+        # and whether each is the first pivot on its position.
+        self.eta_n = np.zeros((etas, m))
+        self.eta_l_inv = np.zeros((etas, etas))
+        self.eta_pos = np.zeros(etas, dtype=np.int64)
+        self.eta_first = np.zeros(etas, dtype=bool)
+        self.pivoted = np.zeros(m, dtype=bool)
+        self.refactor(basis)  # all unit columns: no inverse to compute
+
+    def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
+        """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
+        weights = v[self.rows]
+        weights *= self.abs_vals if magnitude else self.vals
+        product = np.bincount(self.cols, weights=weights, minlength=self.n_work)
+        if out is None:
+            return product
+        out[:] = product
+        return out
+
+    def column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
+        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
+        span = slice(self.start[j], self.start[j + 1])
+        entries = v[self.rows[span]]
+        return float(entries @ self.vals[span]), float(np.abs(entries) @ self.abs_vals[span])
+
+    def refactor(self, basis: np.ndarray) -> bool:
+        """Split the basis into unit columns and the kernel, and invert the kernel.
+
+        False if the basis is singular: two unit columns on one row, or a
+        singular kernel.
+        """
+        m = self.m
+        self.etas = 0
+        self.pivoted[:] = False
+        sign = self.unit_sign[basis]
+        unit = sign != 0.0
+        u_pos, s_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+        u_rows = self.unit_row[basis[u_pos]]
+        kernel_row = np.ones(m, dtype=bool)
+        kernel_row[u_rows] = False
+        s_rows = np.flatnonzero(kernel_row)
+        if s_rows.size != s_pos.size:
+            return False
+        block = self.a[:, basis[s_pos]]
+        if s_pos.size:
+            self.inverses += 1
+            try:
+                self.k_inv_t = np.linalg.inv(block[s_rows].T)  # (K^-1)^T
+            except np.linalg.LinAlgError:
+                return False
+        else:
+            self.k_inv_t = np.zeros((0, 0))
+        c_row, c_col = np.nonzero(block[u_rows])
+        self.c_row, self.c_col, self.c_val = c_row, c_col, block[u_rows[c_row], c_col]
+        self.u_pos, self.u_rows, self.u_sign = u_pos, u_rows, sign[u_pos]
+        self.s_pos, self.s_rows = s_pos, s_rows
+        self.kernel_row = kernel_row
+        # Each row's index among the kernel rows or among the unit rows.
+        self.slot = np.empty(m, dtype=np.int64)
+        self.slot[s_rows] = np.arange(s_rows.size)
+        self.slot[u_rows] = np.arange(u_rows.size)
+        return True
+
+    def _solve(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """``B0^-1 a`` for the refactorized basis ``B0`` and ``a`` given by its nonzeros."""
+        in_k = self.kernel_row[rows]
+        x_s = vals[in_k] @ self.k_inv_t[self.slot[rows[in_k]]]
+        a_u = np.zeros(self.u_pos.size)
+        a_u[self.slot[rows[~in_k]]] = vals[~in_k]
+        a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
+        x = np.empty(self.m)
+        x[self.s_pos] = x_s
+        x[self.u_pos] = a_u * self.u_sign
+        return x
+
+    def ftran(self, j: int | np.ndarray) -> np.ndarray:
+        """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
+        if isinstance(j, np.ndarray):
+            x = self._solve(np.arange(self.m), j)
+        else:
+            span = slice(self.start[j], self.start[j + 1])
+            x = self._solve(self.rows[span], self.vals[span])
+        k = self.etas
+        if k:
+            pos = self.eta_pos[:k]
+            t = self.eta_l_inv[:k, :k] @ np.where(self.eta_first[:k], x[pos], 0.0)
+            x[pos] = 0.0
+            x += t @ self.eta_n[:k]
+        return x
+
+    def btran(self, v: int | np.ndarray) -> np.ndarray:
+        """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position."""
+        if not isinstance(v, np.ndarray):
+            v = np.eye(1, self.m, v)[0]
+        k = self.etas
+        if k:
+            first = self.eta_first[:k]
+            s = (self.eta_n[:k] @ v) @ self.eta_l_inv[:k, :k]
+            v = v.copy()
+            v[self.eta_pos[:k][first]] = s[first]  # every pivoted position has one first pivot
+        y = np.empty(self.m)
+        y_u = v[self.u_pos] * self.u_sign
+        y[self.u_rows] = y_u
+        coupled = np.bincount(self.c_col, weights=self.c_val * y_u[self.c_row], minlength=self.s_pos.size)
+        y[self.s_rows] = self.k_inv_t @ (v[self.s_pos] - coupled)
+        return y
+
+    def update(self, row: int, d: np.ndarray):
+        """Replace the basic column at ``row`` by the one whose FTRAN is ``d``."""
+        k = self.etas
+        if k == self.eta_pos.size:  # more pivots than refactor_every since the last refactorization
+            self._grow()
+        piv = d[row]
+        n_t = self.eta_n
+        if k:
+            # Row k of L is -N[row, :k]; L^-1 grows by the matching row.
+            self.eta_l_inv[k, :k] = n_t[:k, row] @ self.eta_l_inv[:k, :k]
+            self.eta_l_inv[k, :k] /= piv
+            n_t[:k, row] = 0.0
+        self.eta_l_inv[k, k] = 1.0 / piv
+        np.negative(d, out=n_t[k])
+        n_t[k, row] = 1.0
+        self.eta_pos[k] = row
+        self.eta_first[k] = not self.pivoted[row]
+        self.pivoted[row] = True
+        self.etas = k + 1
+
+    def _grow(self):
+        k = self.eta_pos.size
+        self.eta_n = np.concatenate([self.eta_n, np.zeros((k, self.m))])
+        self.eta_pos = np.concatenate([self.eta_pos, np.zeros(k, dtype=np.int64)])
+        self.eta_first = np.concatenate([self.eta_first, np.zeros(k, dtype=bool)])
+        l_inv = np.zeros((2 * k, 2 * k))
+        l_inv[:k, :k] = self.eta_l_inv
+        self.eta_l_inv = l_inv
+
+
 class _SimplexCore:
     """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``.
 
     The working matrix is ``A`` followed by one artificial column for each row
-    the slack basis leaves uncovered.  Only its leading columns up to ``k``,
-    the first multiple of 32 past the last column that is not a signed unit
-    column, are held densely; every column from ``k`` on (slacks and
-    artificials) is a ``(row, sign)`` pair.  A unit column's product with a
-    vector is one exact product and its solve against the basis is a signed
-    column of the inverse, so pricing and every pivot are the ones the whole
-    matrix would give.  The prefix product equals the first ``k`` entries of
-    the whole product byte for byte only because ``k`` is aligned: a BLAS
-    kernel finishes an unaligned column count with a differently ordered tail.
+    the slack basis leaves uncovered.  Every use of the basis inverse and every
+    product with the working matrix goes through a basis factor:
+    :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows and
+    :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
+    (``B^-1 a_j``), ``btran(v)`` (``v B^-1``; a row of ``B^-1`` is
+    ``btran(pos)``), ``update(row, d)`` after a pivot and ``refactor(basis)``,
+    and prices with ``times_a`` and ``column_dots``.  A factor starts on the
+    slack/artificial basis, the identity, with room for ``refactor_every``
+    etas.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):
@@ -427,8 +721,11 @@ class _SimplexCore:
         self.m, self.n = a.shape
         self.iterations = 0
         self.phase1_iterations = 0
-        self.inverses = 0  # explicit basis inverses computed
-        self.block = _block_buffer(self.m)
+
+    @property
+    def inverses(self) -> int:
+        """Basis inverses computed (kernel inverses on the kernel path)."""
+        return self.factor.inverses
 
     def run(self) -> tuple[str, int]:
         m, n = self.m, self.n
@@ -436,18 +733,18 @@ class _SimplexCore:
 
         # Initial basis: reuse slack columns where they enter positively,
         # add artificial columns elsewhere.  It is the identity, so the start
-        # inverse and basic solution need no factorization.
+        # factor and basic solution need no factorization.
         basis = _slack_basis(self.a, self.c)
         missing = np.flatnonzero(basis == -1)
         n_art = missing.size
         basis[missing] = n + np.arange(n_art)
         self.basis = basis
-        self._split_columns(missing)
+        factor = _ExplicitInverse if m < _KERNEL_MIN_ROWS else _KernelFactor
+        self.factor = factor(self.a, missing, basis, opts.refactor_every)
         n_work = n + n_art
         self.is_artificial = np.zeros(n_work, dtype=bool)
         self.is_artificial[n:] = True
         self.allowed = np.ones(n_work, dtype=bool)
-        self.b_inv = np.eye(m)
         self.x_b = self.b.copy()
 
         feas_scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
@@ -483,68 +780,10 @@ class _SimplexCore:
                 return STATUS_NUMERICAL, self.iterations
         return STATUS_NUMERICAL, self.iterations
 
-    def _split_columns(self, missing: np.ndarray):
-        """Hold the working matrix as a dense prefix and ``(row, sign)`` unit columns."""
-        m, n = self.m, self.n
-        n_work = n + missing.size
-        cols, rows, vals = _single_entries(self.a)
-        unit = np.abs(vals) == 1.0
-        unit_row = np.zeros(n_work, dtype=np.int64)
-        unit_sign = np.zeros(n_work)
-        unit_row[cols[unit]], unit_sign[cols[unit]] = rows[unit], vals[unit]
-        unit_row[n:], unit_sign[n:] = missing, 1.0
-        dense_cols = np.flatnonzero(unit_sign == 0.0)
-        last = int(dense_cols[-1]) + 1 if dense_cols.size else 0
-        k = min(-(-last // _ALIGN) * _ALIGN, n_work)
-        if k <= n:
-            self.dense = self.a[:, :k]
-        else:  # the prefix reaches into the artificial block
-            art = np.zeros((m, k - n))
-            art[missing[: k - n], np.arange(k - n)] = 1.0
-            self.dense = np.concatenate([self.a, art], axis=1)
-        self.abs_dense = np.abs(self.dense)
-        self.unit_row, self.unit_sign = unit_row[k:], unit_sign[k:]
-
-    def _times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
-        """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
-        k = self.dense.shape[1]
-        if out is None:
-            out = np.empty(k + self.unit_row.size)
-        np.matmul(v, self.abs_dense if magnitude else self.dense, out=out[:k])
-        tail = v[self.unit_row]
-        if magnitude:
-            out[k:] = tail
-        else:
-            np.multiply(tail, self.unit_sign, out=out[k:])
-        return out
-
-    def _column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
-        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
-        k = self.dense.shape[1]
-        if j < k:
-            return float(v @ self.dense[:, j]), float(np.abs(v) @ self.abs_dense[:, j])
-        entry = float(v[self.unit_row[j - k]])
-        return entry * float(self.unit_sign[j - k]), abs(entry)
-
-    def _ftran(self, j: int) -> np.ndarray:
-        """``B^-1 a_j`` for working column ``j``."""
-        k = self.dense.shape[1]
-        if j < k:
-            return self.b_inv @ self.dense[:, j]
-        return self.unit_sign[j - k] * self.b_inv[:, self.unit_row[j - k]]
-
-    def _invert(self) -> bool:
-        self.inverses += 1
-        try:
-            self.b_inv = np.linalg.inv(_basis_matrix(self.a, self.basis))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
     def _refactor(self) -> bool:
-        if not self._invert():
+        if not self.factor.refactor(self.basis):
             return False
-        self.x_b = self.b_inv @ self.b
+        self.x_b = self.factor.ftran(self.b)
         return True
 
     def _drive_out_artificials(self):
@@ -555,12 +794,12 @@ class _SimplexCore:
         for pos in range(self.m):
             if not self.is_artificial[self.basis[pos]]:
                 continue
-            row = self._times_a(self.b_inv[pos])
+            row = self.factor.times_a(self.factor.btran(pos))
             candidates = np.flatnonzero((np.abs(row) > tol) & eligible)
             if not candidates.size:
                 continue  # redundant row; artificial stays basic at zero
             j = int(candidates[0])
-            self._pivot(pos, j, self._ftran(j))
+            self._pivot(pos, j, self.factor.ftran(j))
             eligible[j] = False
 
     def _pivot(self, row: int, col: int, d: np.ndarray, clamp: bool = True):
@@ -573,9 +812,7 @@ class _SimplexCore:
         self.x_b[row] = theta
         if clamp:
             np.maximum(self.x_b, 0.0, out=self.x_b)
-        row_r = self.b_inv[row].copy()
-        _rank1_update(self.b_inv, d / piv, row_r, self.block)
-        self.b_inv[row] = row_r / piv
+        self.factor.update(row, d)
         self.basis[row] = col
 
     def _restore_primal(self, cost: np.ndarray) -> tuple[bool, bool]:
@@ -602,11 +839,11 @@ class _SimplexCore:
             if value >= -1e-8 * scale:
                 np.maximum(self.x_b, 0.0, out=self.x_b)
                 return True, pivoted
-            if not pivoted and not self._invert():
+            if not pivoted and not self.factor.refactor(self.basis):
                 return False, False
-            y = cost[self.basis] @ self.b_inv
-            z = cost - self._times_a(y)
-            row_r = self._times_a(self.b_inv[row])
+            y = self.factor.btran(cost[self.basis])
+            z = cost - self.factor.times_a(y)
+            row_r = self.factor.times_a(self.factor.btran(row))
             eligible = (row_r < -1e-9) & self.allowed
             eligible[self.basis] = False
             cand = np.nonzero(eligible)[0]
@@ -619,7 +856,7 @@ class _SimplexCore:
             best = float(ratios.min())
             tie = cand[ratios <= best + 1e-12 * (1.0 + abs(best))]
             j = int(tie.min())
-            self._pivot(row, j, self._ftran(j), clamp=False)
+            self._pivot(row, j, self.factor.ftran(j), clamp=False)
             pivoted = True
         return False, pivoted
 
@@ -662,15 +899,15 @@ class _SimplexCore:
                 since_refactor = 0
                 self._close(closed)
 
-            y = cost[self.basis] @ self.b_inv
+            y = self.factor.btran(cost[self.basis])
             # The noise floor |y|.|A_j| drifts slowly; refreshing it every few
             # iterations halves the pricing cost without affecting the rule.
             since_noise += 1
             if since_noise >= 16 or noise is None:
-                noise = self._times_a(np.abs(y), magnitude=True)
+                noise = self.factor.times_a(np.abs(y), magnitude=True)
                 thr = tol * denom + 1e-12 * (1.0 + noise)
                 since_noise = 0
-            np.subtract(cost, self._times_a(y, out=z), out=z)
+            np.subtract(cost, self.factor.times_a(y, out=z), out=z)
             np.add(z, thr, out=score)
             np.divide(score, denom, out=score)  # eligible iff score < 0
             score[closed] = np.inf
@@ -691,7 +928,7 @@ class _SimplexCore:
                         continue
                     return None
 
-            d = self._ftran(j)
+            d = self.factor.ftran(j)
             pos = np.nonzero(d > tol)[0]
             if pos.size == 0:
                 # Rule out factorization drift before declaring unboundedness.
@@ -708,7 +945,7 @@ class _SimplexCore:
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
                 y_acc = _refined_solve(_basis_matrix(self.a, self.basis).T, cost[self.basis])
-                dot, magnitude = self._column_dots(y_acc, j)
+                dot, magnitude = self.factor.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude
                 if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):

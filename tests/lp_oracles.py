@@ -10,9 +10,12 @@ must give the same bytes, and the LP file writer over the dense matrix.
 from __future__ import annotations
 
 import itertools
+import sys
+from unittest import mock
 
 import numpy as np
 
+import corridor_kit.simplex as simplex_mod
 from corridor_kit.lp import LpProblem
 from corridor_kit.lp import _SENSE_TOKEN as SENSE_TOKEN
 from corridor_kit.simplex import (
@@ -125,6 +128,51 @@ def random_problem(rng: np.random.Generator, n_vars: int, n_rows: int, bounded: 
         lb=np.zeros(n_vars),
         ub=ub,
         row_labels=[f"r{i}" for i in range(n_rows)],
+        col_labels=[f"x{j}" for j in range(n_vars)],
+    )
+
+
+def artificial_heavy_problem(rng: np.random.Generator, n_vars: int, n_rows: int, bounded: bool) -> LpProblem:
+    """A random LP whose standard form leans on artificial columns.
+
+    Half its rows are equalities and a third are ``>=`` rows, 40% of the
+    variables are free (mirrored columns), a fifth of the rows touch only
+    variables that are zero at the feasible point (so equalities among them
+    have degenerate artificials, which phase 1 can leave basic and the
+    drive-out pivots away), and some equalities appear again doubled
+    (redundant rows, whose artificials stay basic at zero).  Without upper
+    bounds the standard form has no slack columns after the structural ones,
+    so the dense prefix reaches into the artificial block.
+    """
+    a = rng.uniform(-2.0, 2.0, size=(n_rows, n_vars))
+    a[rng.uniform(size=a.shape) < 0.4] = 0.0
+    free = rng.uniform(size=n_vars) < 0.4
+    x_feas = np.where(free, rng.uniform(-3.0, 3.0, n_vars), rng.uniform(0.0, 3.0, n_vars))
+    at_zero = ~free & (rng.uniform(size=n_vars) < 0.3)
+    x_feas[at_zero] = 0.0
+    homogeneous = rng.uniform(size=n_rows) < 0.2
+    a[np.ix_(homogeneous, ~at_zero)] = 0.0
+    kind = rng.choice(3, size=n_rows, p=[0.5, 0.35, 0.15])
+    ax = a @ x_feas
+    room = rng.uniform(0.0, 2.0, n_rows)
+    b = np.where(kind == 0, ax, np.where(kind == 1, ax - room, ax + room))
+    senses = [("eq", "ge", "le")[k] for k in kind]
+    eq = np.flatnonzero(kind == 0)
+    again = eq[rng.uniform(size=eq.size) < 0.3]
+    a = np.vstack([a, 2.0 * a[again]])
+    b = np.concatenate([b, 2.0 * b[again]])
+    senses += ["eq"] * again.size
+    rows, cols = np.nonzero(a)
+    return LpProblem(
+        c=rng.uniform(-1.0, 1.0, n_vars),
+        a_rows=rows.astype(np.int64),
+        a_cols=cols.astype(np.int64),
+        a_vals=a[rows, cols],
+        senses=senses,
+        b=b,
+        lb=np.where(free, -np.inf, 0.0),
+        ub=np.full(n_vars, 10.0 if bounded else np.inf),
+        row_labels=[f"r{i}" for i in range(a.shape[0])],
         col_labels=[f"x{j}" for j in range(n_vars)],
     )
 
@@ -294,11 +342,21 @@ def dense_write_lp_file(problem: LpProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def explicit_inverse():
+    """Patch that keeps every LP on the explicit basis inverse, whatever its size.
+
+    The byte oracles below describe the explicit-inverse simplex; the kernel
+    factor takes its own pivot path and is checked against them by tolerance.
+    """
+    return mock.patch.object(simplex_mod, "_KERNEL_MIN_ROWS", sys.maxsize)
+
+
 class BroadcastSimplexCore:
     """The simplex core before the blocked inverse update: the oracle for ``_SimplexCore``.
 
-    Identical except that every pivot updates the explicit basis inverse with
-    one broadcast m x m outer product.
+    Identical to ``_SimplexCore`` on ``_ExplicitInverse`` except that every
+    pivot updates the explicit basis inverse with one broadcast m x m outer
+    product.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):

@@ -1,6 +1,6 @@
 """The BLAS assumption behind the simplex's dense prefix.
 
-``_SimplexCore`` prices with a BLAS product over the leading ``k`` columns of
+``_ExplicitInverse`` prices with a BLAS product over the leading ``k`` columns of
 its working matrix, ``k`` a multiple of 32, and takes every later (unit)
 column's entry as one exact product.  Its pivots, and so every answer, are
 the ones the whole-matrix product gave only while ``v @ A[:, :k]`` and
@@ -28,7 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corridor_kit.simplex import SolverOptions, _SimplexCore
+from corridor_kit.simplex import _ExplicitInverse
 
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -63,14 +63,14 @@ def _structural_then_units(m, n_struct, n_unit, density, seed, lo, hi):
 )
 def test_prefix_products_are_the_whole_products(m, n_struct, n_unit, density, seed, lo, hi):
     a, v = _structural_then_units(m, n_struct, n_unit, density, seed, lo, hi)
-    core = _SimplexCore(a, np.ones(m), np.zeros(a.shape[1]), SolverOptions())
-    core._split_columns(np.zeros(0, dtype=np.int64))
-    k = core.dense.shape[1]
+    # The explicit inverse whatever m is: the property pins its prefix, not the size cut.
+    factor = _ExplicitInverse(a, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 90)
+    k = factor.dense.shape[1]
     assert k == min(-(-n_struct // 32) * 32, a.shape[1])
     assert (v @ a[:, :k]).tobytes() == (v @ a)[:k].tobytes()
     assert (np.abs(v) @ np.abs(a[:, :k])).tobytes() == (np.abs(v) @ np.abs(a))[:k].tobytes()
-    assert core._times_a(v).tobytes() == (v @ a).tobytes()
-    magnitude = core._times_a(np.abs(v), magnitude=True)
+    assert factor.times_a(v).tobytes() == (v @ a).tobytes()
+    magnitude = factor.times_a(np.abs(v), magnitude=True)
     assert magnitude.tobytes() == (np.abs(v) @ np.abs(a)).tobytes()
 
 

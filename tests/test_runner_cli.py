@@ -2,6 +2,7 @@ import json
 import logging
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import corridor_kit.mga as mga_mod
@@ -267,3 +268,61 @@ def test_cli_run_segments_zero_exit_1(tmp_path, doc8, capsys):
                "--epsilon", "0.05", "--horizons", "2030", "--out", str(store_dir)])
     assert rc == 1 and not store_dir.exists()
     assert "outside 1..8" in capsys.readouterr().err
+
+
+def _write_manifest(tmp_path, model, scen, **changes):
+    manifest = {
+        "model": str(model),
+        "scenarios": str(scen),
+        "epsilons": [0.05],
+        "horizons": [2030],
+        "jobs": 1,
+        "out": str(tmp_path / "store"),
+        **changes,
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("source", ["flags", "manifest"])
+def test_cli_run_negative_epsilon_exit_1(tmp_path, doc8, source, capsys):
+    model, scen = write_tiny_inputs(tmp_path, doc8)
+    store_dir = tmp_path / "store"
+    if source == "flags":
+        argv = ["run", "--model", str(model), "--scenarios", str(scen), "--epsilon", "0.05,-0.05",
+                "--horizons", "2030", "--out", str(store_dir)]
+    else:
+        argv = ["run", "--manifest", str(_write_manifest(tmp_path, model, scen, epsilons=[0.05, -0.05]))]
+    assert main(argv) == 1 and not store_dir.exists()
+    assert "slack levels must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flags", "manifest"])
+def test_cli_run_unordered_horizons_exit_1(tmp_path, doc8, source, capsys):
+    model, scen = write_tiny_inputs(tmp_path, doc8)
+    store_dir = tmp_path / "store"
+    if source == "flags":
+        argv = ["run", "--model", str(model), "--scenarios", str(scen), "--epsilon", "0.05",
+                "--horizons", "2035,2030", "--out", str(store_dir)]
+    else:
+        argv = ["run", "--manifest", str(_write_manifest(tmp_path, model, scen, horizons=[2030, 2030]))]
+    assert main(argv) == 1 and not store_dir.exists()
+    assert "horizons must be strictly increasing" in capsys.readouterr().err
+
+
+def test_manifest_records_provenance(tmp_path, doc8, monkeypatch):
+    model, scen = write_tiny_inputs(tmp_path, doc8)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    store_dir = tmp_path / "store"
+    assert main(["run", "--model", str(model), "--scenarios", str(scen), "--epsilon", "0.05",
+                 "--horizons", "2030", "--out", str(store_dir)]) == 0
+    provenance = json.loads((store_dir / "manifest.json").read_text())["provenance"]
+    assert provenance["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert provenance["blas"] == f"{blas['name']} {blas['version']}"
+    assert provenance["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    # A manifest written before provenance was recorded still runs.
+    older = _write_manifest(tmp_path, model, scen, out=str(tmp_path / "older"), segments=None, flows=False)
+    assert main(["run", "--manifest", str(older)]) == 0
+    assert "provenance" in json.loads((tmp_path / "older" / "manifest.json").read_text())

@@ -15,7 +15,13 @@ from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
 from corridor_kit.translate import translate
 
-from lp_oracles import BroadcastSimplexCore, enumerate_vertices_minimum, random_problem
+from lp_oracles import (
+    BroadcastSimplexCore,
+    artificial_heavy_problem,
+    enumerate_vertices_minimum,
+    explicit_inverse,
+    random_problem,
+)
 
 
 def two_var_problem():
@@ -208,8 +214,9 @@ def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch
 
 
 def assert_same_bytes_as_broadcast_core(problem):
-    """``solve`` gives the bytes it gave with the broadcast inverse update."""
-    got = solve(problem)
+    """``solve`` on the explicit inverse gives the bytes it gave with the broadcast inverse update."""
+    with explicit_inverse():
+        got = solve(problem)
     with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
         want = solve(problem)
     assert got.status == want.status
@@ -269,54 +276,9 @@ def test_retry_counts_both_attempts(monkeypatch):
     assert (cautious.refactor_every, cautious.stall_iterations) == (20, 40)
 
 
-def artificial_heavy_problem(rng: np.random.Generator, n_vars: int, n_rows: int, bounded: bool) -> LpProblem:
-    """A random LP whose standard form leans on artificial columns.
-
-    Half its rows are equalities and a third are ``>=`` rows, 40% of the
-    variables are free (mirrored columns), a fifth of the rows touch only
-    variables that are zero at the feasible point (so equalities among them
-    have degenerate artificials, which phase 1 can leave basic and the
-    drive-out pivots away), and some equalities appear again doubled
-    (redundant rows, whose artificials stay basic at zero).  Without upper
-    bounds the standard form has no slack columns after the structural ones,
-    so the dense prefix reaches into the artificial block.
-    """
-    a = rng.uniform(-2.0, 2.0, size=(n_rows, n_vars))
-    a[rng.uniform(size=a.shape) < 0.4] = 0.0
-    free = rng.uniform(size=n_vars) < 0.4
-    x_feas = np.where(free, rng.uniform(-3.0, 3.0, n_vars), rng.uniform(0.0, 3.0, n_vars))
-    at_zero = ~free & (rng.uniform(size=n_vars) < 0.3)
-    x_feas[at_zero] = 0.0
-    homogeneous = rng.uniform(size=n_rows) < 0.2
-    a[np.ix_(homogeneous, ~at_zero)] = 0.0
-    kind = rng.choice(3, size=n_rows, p=[0.5, 0.35, 0.15])
-    ax = a @ x_feas
-    room = rng.uniform(0.0, 2.0, n_rows)
-    b = np.where(kind == 0, ax, np.where(kind == 1, ax - room, ax + room))
-    senses = [("eq", "ge", "le")[k] for k in kind]
-    eq = np.flatnonzero(kind == 0)
-    again = eq[rng.uniform(size=eq.size) < 0.3]
-    a = np.vstack([a, 2.0 * a[again]])
-    b = np.concatenate([b, 2.0 * b[again]])
-    senses += ["eq"] * again.size
-    rows, cols = np.nonzero(a)
-    return LpProblem(
-        c=rng.uniform(-1.0, 1.0, n_vars),
-        a_rows=rows.astype(np.int64),
-        a_cols=cols.astype(np.int64),
-        a_vals=a[rows, cols],
-        senses=senses,
-        b=b,
-        lb=np.where(free, -np.inf, 0.0),
-        ub=np.full(n_vars, 10.0 if bounded else np.inf),
-        row_labels=[f"r{i}" for i in range(a.shape[0])],
-        col_labels=[f"x{j}" for j in range(n_vars)],
-    )
-
-
 def test_implicit_unit_columns_keep_artificial_heavy_answers():
     real_drive = simplex_mod._SimplexCore._drive_out_artificials
-    real_split = simplex_mod._SimplexCore._split_columns
+    real_split = simplex_mod._ExplicitInverse._split_columns
     drove_out, prefix_reaches_artificials, artificial_stays = [], [], []
 
     def drive(core):
@@ -324,13 +286,13 @@ def test_implicit_unit_columns_keep_artificial_heavy_answers():
         real_drive(core)
         drove_out.append(not np.array_equal(before, core.basis))
 
-    def split(core, missing):
-        real_split(core, missing)
-        prefix_reaches_artificials.append(core.dense.shape[1] > core.n)
+    def split(factor, missing):
+        real_split(factor, missing)
+        prefix_reaches_artificials.append(factor.dense.shape[1] > factor.n)
 
     rng = np.random.default_rng(11)
     with mock.patch.object(simplex_mod._SimplexCore, "_drive_out_artificials", drive), mock.patch.object(
-        simplex_mod._SimplexCore, "_split_columns", split
+        simplex_mod._ExplicitInverse, "_split_columns", split
     ):
         for n, m in [(4, 3), (10, 8), (25, 20), (40, 45), (70, 60)]:
             for bounded in (False, True):
@@ -372,7 +334,8 @@ def _count_inverses(problem):
 
 def test_fixture_solve_skips_two_discarded_inverses(doc8, base_scenario):
     problem = _doc8_2030(doc8, base_scenario)
-    sol, calls = _count_inverses(problem)
+    with explicit_inverse():
+        sol, calls = _count_inverses(problem)
     with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
         _, broadcast_calls = _count_inverses(problem)
     assert sol.status == "optimal"
