@@ -45,15 +45,6 @@ class LpProblem:
         np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
         return a
 
-    def row_index(self, label: str) -> int:
-        return self.row_labels.index(label)
-
-    def col_index(self, label: str) -> int:
-        return self.col_labels.index(label)
-
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(self.c @ x)
-
     def aux_value(self, name: str, x: np.ndarray) -> float:
         vec = self.aux[name]
         return float(sum(coeff * x[j] for j, coeff in sorted(vec.items())))

@@ -105,14 +105,6 @@ class AssetSpec:
     tags: frozenset = frozenset()
     capture_sibling: str | None = None  # capture premium is relative to this asset
 
-    def metered_bus(self) -> str:
-        if self.kind == "link":
-            for b, eff in self.buses.items():
-                if eff == -1.0:
-                    return b
-            raise ValueError(f"link {self.id} has no metering bus (coefficient -1)")
-        return next(iter(self.buses))
-
 
 @dataclass(frozen=True)
 class GlobalLimit:
@@ -186,12 +178,6 @@ class Network:
 
     def tagged(self, tag: str) -> list[AssetSpec]:
         return [a for a in self.assets if tag in a.tags]
-
-    def limit(self, name: str) -> GlobalLimit | None:
-        for lim in self.limits:
-            if lim.name == name:
-                return lim
-        return None
 
 
 def validate_network(net: Network) -> list[str]:

@@ -33,8 +33,10 @@ from .simplex import SolverOptions
 RECORD_COLUMNS = ["scenario_id", "horizon", "sense", "epsilon", "status", "cost_eur", "h2_mt", "mu_raw"]
 FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
 
-# The variables that set the BLAS thread count.  The explicit basis inverse's
-# answer bits depend on it for products of more than 460,800 entries.
+# The variables that set the BLAS thread count.  The answer bits depend on it
+# at every LP size whose basis (or kernel) reaches 100 rows: OpenBLAS runs the
+# LU factorization behind np.linalg.inv and np.linalg.solve on several threads
+# from a 100 x 100 matrix on, and the threaded factorization rounds differently.
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",

@@ -188,15 +188,65 @@ def _solve_unconstrained(problem: LpProblem) -> LpSolution:
     return sol
 
 
+class _Columns:
+    """A sparse matrix held column by column, the standard revised-simplex storage.
+
+    The nonzeros of column ``j`` are ``rows[start[j]:start[j + 1]]``, in
+    ascending order, with their values ``vals``; ``cols`` repeats ``j`` for
+    each of them.  Sums over a column or a row run in this order.
+    """
+
+    def __init__(self, m: int, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        self.m, self.n = m, n
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.start = np.searchsorted(cols, np.arange(n + 1))
+
+    def dense(self, cols: np.ndarray) -> np.ndarray:
+        """Columns ``cols`` as a dense m x len(cols) block.
+
+        The block is Fortran-ordered, as a gather ``a[:, cols]`` from a
+        row-major matrix is: the residual ``b - B x`` of a refined solve
+        rounds by the layout of ``B``.
+        """
+        first = self.start[cols]
+        counts = self.start[cols + 1] - first
+        at = np.repeat(np.arange(cols.size), counts)
+        entries = np.arange(at.size) + (first - np.cumsum(counts) + counts)[at]
+        block = np.zeros((self.m, cols.size), order="F")
+        block[self.rows[entries], at] = self.vals[entries]
+        return block
+
+    def single_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns with exactly one nonzero: their ids, that entry's row and its value."""
+        cols = np.flatnonzero(np.diff(self.start) == 1)
+        first = self.start[cols]
+        return cols, self.rows[first], self.vals[first]
+
+    def with_units(self, rows: np.ndarray) -> "_Columns":
+        """This matrix followed by one column for each of ``rows``, +1 on that row."""
+        n, k = self.n, rows.size
+        cols = np.concatenate([self.cols, n + np.arange(k)])
+        return _Columns(self.m, n + k, np.concatenate([self.rows, rows]), cols, np.concatenate([self.vals, np.ones(k)]))
+
+    def column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
+        """``v . a_j`` and ``|v| . |a_j|`` for column ``j``."""
+        span = slice(self.start[j], self.start[j + 1])
+        entries = v[self.rows[span]]
+        vals = self.vals[span]
+        return float(entries @ vals), float(np.abs(entries) @ np.abs(vals))
+
+
 class _Standardizer:
     """Conversion to equality form with nonnegative variables and scaled rows.
 
-    The dense standard-form matrix is filled straight from the problem's
-    triplets; every entry is the one a row-by-row construction would give.
+    The standard form is built straight from the problem's triplets as one
+    :class:`_Columns` matrix, ``columns``; every entry is the one a
+    row-by-row dense construction would give, and the zeros are left out.
+    A gather fills them with +0 where a flipped dense row held -0; no answer
+    depends on the sign of a zero.
     """
 
     def __init__(self, problem: LpProblem):
-        self.problem = problem
         n, m = problem.n, problem.m
         lb, ub = problem.lb, problem.ub
 
@@ -213,43 +263,57 @@ class _Standardizer:
         is_le = senses == "le"
         slack_rows = np.flatnonzero(is_le | (senses == "ge"))
         n_slack = slack_rows.size
-        a_std = np.zeros((m_std, n_struct + n_slack))
-        np.add.at(a_std, (problem.a_rows, problem.a_cols), problem.a_vals)
-        a_std[:m, n:n_struct] = -a_std[:m, self.split]
+        n_std = n_struct + n_slack
+
+        # Every entry: the LP's, their mirrors in the split columns, the
+        # upper-bound rows and the slack columns.
         mirror = np.full(n, -1)
         mirror[self.split] = np.arange(n, n_struct)
+        a_rows, a_cols, a_vals = problem.a_rows, problem.a_cols, problem.a_vals
+        mirrored = mirror[a_cols] >= 0
         ub_pos = m + np.arange(n_ub)
-        a_std[ub_pos, ub_rows] = 1.0
         free = mirror[ub_rows] >= 0
-        a_std[ub_pos[free], mirror[ub_rows[free]]] = -1.0
+        rows = np.concatenate([a_rows, a_rows[mirrored], ub_pos, ub_pos[free], slack_rows])
+        cols = np.concatenate(
+            [a_cols, mirror[a_cols[mirrored]], ub_rows, mirror[ub_rows[free]], n_struct + np.arange(n_slack)]
+        )
+        vals = np.concatenate(
+            [a_vals, -a_vals[mirrored], np.ones(n_ub), -np.ones(free.sum()), np.where(is_le[slack_rows], 1.0, -1.0)]
+        )
+        # Column by column, each duplicate summed from zero in triplet order
+        # (as a dense scatter-add sums them), and the zero sums left out.
+        key = cols * m_std + rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.diff(key, prepend=-1) != 0
+        summed = np.zeros(np.count_nonzero(head))
+        np.add.at(summed, np.cumsum(head) - 1, vals[order])
+        nonzero = summed != 0
+        cols, rows = np.divmod(key[head][nonzero], m_std)
+        vals = summed[nonzero]
 
-        # A contiguous copy, so the product rounds as it does over LpProblem.dense().
-        b = problem.b - np.ascontiguousarray(a_std[:m, :n]) @ self.shift
+        # b - A shift, each row summed in column order.
+        lp = (rows < m) & (cols < n)
+        b = problem.b - np.bincount(rows[lp], weights=vals[lp] * self.shift[cols[lp]], minlength=m)
         b = np.concatenate([b, ub[ub_rows] - self.shift[ub_rows]])
 
         # Row equilibration with powers of two keeps the arithmetic exact.
-        structural = a_std[:, :n_struct]
-        mx = np.max(np.abs(structural), axis=1)
+        structural = cols < n_struct
+        mx = np.zeros(m_std)
+        np.maximum.at(mx, rows[structural], np.abs(vals[structural]))
         self.row_scale = np.ones(m_std)
         scaled = mx > 0
         self.row_scale[scaled] = 2.0 ** np.round(np.log2(mx[scaled]))
-        structural /= self.row_scale[:, None]
+        vals[structural] /= self.row_scale[rows[structural]]
         b_arr = b / self.row_scale
-
-        # Slack columns for inequality rows.
-        slack_cols = n_struct + np.arange(n_slack)
-        a_std[slack_rows, slack_cols] = np.where(is_le[slack_rows], 1.0, -1.0)
-        self.slack_of_row = dict(zip(slack_rows.tolist(), slack_cols.tolist()))
         self.c_std = np.concatenate([problem.c, -problem.c[self.split], np.zeros(n_slack)])
 
         # Flip rows so the right-hand side is nonnegative.
         self.flip = np.where(b_arr < 0, -1.0, 1.0)
-        a_std *= self.flip[:, None]
-        self.a_std = a_std
+        vals *= self.flip[rows]
+        self.columns = _Columns(m_std, n_std, rows, cols, vals)
         self.b_std = b_arr * self.flip
-
-        self.n_orig = n
-        self.m_orig = m
+        self.n_orig, self.m_orig = n, m
 
     def recover_x(self, x_std: np.ndarray) -> np.ndarray:
         x = x_std[: self.n_orig].copy()
@@ -305,14 +369,9 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
 
 
 def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: SolverOptions) -> LpSolution:
-    core = _SimplexCore(std.a_std, std.b_std, std.c_std, options)
+    core = _SimplexCore(std.columns, std.b_std, std.c_std, options)
     status, iterations = core.run()
-    # A core that keeps no counters reports zero for them.
-    counts = dict(
-        iterations=iterations,
-        phase1_iterations=getattr(core, "phase1_iterations", 0),
-        inverses=getattr(core, "inverses", 0),
-    )
+    counts = dict(iterations=iterations, phase1_iterations=core.phase1_iterations, inverses=core.inverses)
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_TIMEOUT, STATUS_NUMERICAL):
         return LpSolution(status=status, **counts)
@@ -323,12 +382,12 @@ def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: Solve
     # basis.  A redundant row can keep an artificial column basic at zero;
     # such a column pins that row's dual to zero.
     basis = core.basis
-    n_std = std.a_std.shape[1]
+    n_std = std.columns.n
     structural = basis < n_std
     cost_basic = np.zeros(basis.size)
     cost_basic[structural] = std.c_std[basis[structural]]
     try:
-        y_std = _refined_solve(_basis_matrix(std.a_std, basis).T, cost_basic)
+        y_std = _refined_solve(core.work.dense(basis).T, cost_basic)
     except np.linalg.LinAlgError:
         return LpSolution(status=STATUS_NUMERICAL, **counts)
     x_std = np.zeros(n_std)
@@ -348,58 +407,27 @@ def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: Solve
     return sol
 
 
-def _basis_matrix(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Columns ``basis`` of ``a`` extended by artificial columns.
-
-    Column ids from ``a.shape[1]`` on are artificials.  An artificial is only
-    ever basic at the position it started in, where its column is the unit
-    column of that row.  The other columns are gathered from ``a`` itself, so
-    every entry, down to the sign of a zero, is the one a materialized
-    artificial block would give.
-    """
-    real = basis < a.shape[1]
-    mat = a[:, np.where(real, basis, 0)]
-    art = np.flatnonzero(~real)
-    mat[:, art] = 0.0
-    mat[art, art] = 1.0
-    return mat
-
-
-def _single_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of ``a`` with exactly one nonzero: their ids, that entry's row and its value."""
-    nonzero = a != 0
-    cols = np.flatnonzero(nonzero.sum(axis=0) == 1)
-    rows = np.argmax(nonzero[:, cols], axis=0)
-    return cols, rows, a[rows, cols]
-
-
-def _slack_basis(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _slack_basis(a: _Columns, c: np.ndarray) -> np.ndarray:
     """Initial basis positions held by usable slack columns, -1 elsewhere.
 
     A usable slack is a zero-cost unit column whose one entry is +1; where
     several share a row, the lowest column index takes it.
     """
-    basis = np.full(a.shape[0], -1, dtype=np.int64)
-    cols, rows, vals = _single_entries(a)
+    basis = np.full(a.m, -1, dtype=np.int64)
+    cols, rows, vals = a.single_entries()
     usable = (vals == 1.0) & (c[cols] == 0.0)
     claimed, first = np.unique(rows[usable], return_index=True)
     basis[claimed] = cols[usable][first]
     return basis
 
 
-def _unit_columns(a: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and sign of each signed unit column of the working matrix; sign 0 for the others.
-
-    The working matrix is ``a`` followed by one artificial column, +1 on its
-    row, for each row in ``missing``.
-    """
-    n = a.shape[1]
-    cols, rows, vals = _single_entries(a)
+def _unit_columns(work: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """Row and sign of each signed unit column of the working matrix; sign 0 for the others."""
+    cols, rows, vals = work.single_entries()
     unit = np.abs(vals) == 1.0
-    unit_row = np.zeros(n + missing.size, dtype=np.int64)
-    unit_sign = np.zeros(n + missing.size)
+    unit_row = np.zeros(work.n, dtype=np.int64)
+    unit_sign = np.zeros(work.n)
     unit_row[cols[unit]], unit_sign[cols[unit]] = rows[unit], vals[unit]
-    unit_row[n:], unit_sign[n:] = missing, 1.0
     return unit_row, unit_sign
 
 
@@ -430,43 +458,33 @@ class _ExplicitInverse:
     """The basis inverse held explicitly, for LPs below ``_KERNEL_MIN_ROWS`` rows.
 
     A pivot updates the m x m inverse with the blocked rank-1 update; a
-    refactorization inverts the whole basis.  Of the working matrix (``A``
-    followed by one artificial column for each row the slack basis leaves
-    uncovered) only the leading columns up to ``k``, the first multiple of 32
-    past the last column that is not a signed unit column, are held densely;
-    every column from ``k`` on (slacks and artificials) is a ``(row, sign)``
-    pair.  A unit column's product with a vector is one exact product and its
-    solve against the basis is a signed column of the inverse, so pricing and
-    every pivot are the ones the whole matrix would give.  The prefix product
-    equals the first ``k`` entries of the whole product byte for byte only
-    because ``k`` is aligned: a BLAS kernel finishes an unaligned column count
-    with a differently ordered tail.
+    refactorization inverts the whole basis.  Of the working matrix only the
+    leading columns up to ``k``, the first multiple of 32 past the last column
+    that is not a signed unit column, are held densely; every column from
+    ``k`` on (slacks and artificials) is a ``(row, sign)`` pair.  A unit
+    column's product with a vector is one exact product and its solve against
+    the basis is a signed column of the inverse, so pricing and every pivot
+    are the ones the whole matrix would give.  The prefix product equals the
+    first ``k`` entries of the whole product byte for byte only because ``k``
+    is aligned: a BLAS kernel finishes an unaligned column count with a
+    differently ordered tail.
     """
 
-    def __init__(self, a: np.ndarray, missing: np.ndarray, basis: np.ndarray, etas: int):
-        self.a = a
-        self.m, self.n = a.shape
+    def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
+        self.work, self.m = work, work.m
         self.inverses = 0  # basis inverses computed
         self.block = _block_buffer(self.m)
-        self._split_columns(missing)
-        self.b_inv = np.eye(self.m)  # the start basis is the identity
-
-    def _split_columns(self, missing: np.ndarray):
-        """Hold the working matrix as a dense prefix and ``(row, sign)`` unit columns."""
-        m, n = self.m, self.n
-        n_work = n + missing.size
-        unit_row, unit_sign = _unit_columns(self.a, missing)
+        unit_row, unit_sign = _unit_columns(work)
         dense_cols = np.flatnonzero(unit_sign == 0.0)
         last = int(dense_cols[-1]) + 1 if dense_cols.size else 0
-        k = min(-(-last // _ALIGN) * _ALIGN, n_work)
-        if k <= n:
-            self.dense = self.a[:, :k]
-        else:  # the prefix reaches into the artificial block
-            art = np.zeros((m, k - n))
-            art[missing[: k - n], np.arange(k - n)] = 1.0
-            self.dense = np.concatenate([self.a, art], axis=1)
+        k = min(-(-last // _ALIGN) * _ALIGN, work.n)
+        # C-ordered, as a column slice of a row-major matrix is: the prefix
+        # product equals the whole product byte for byte in that layout, and
+        # a Fortran-ordered prefix rounds differently.
+        self.dense = np.ascontiguousarray(work.dense(np.arange(k)))
         self.abs_dense = np.abs(self.dense)
         self.unit_row, self.unit_sign = unit_row[k:], unit_sign[k:]
+        self.b_inv = np.eye(self.m)  # the start basis is the identity
 
     def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
         """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
@@ -481,19 +499,11 @@ class _ExplicitInverse:
             np.multiply(tail, self.unit_sign, out=out[k:])
         return out
 
-    def column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
-        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
-        k = self.dense.shape[1]
-        if j < k:
-            return float(v @ self.dense[:, j]), float(np.abs(v) @ self.abs_dense[:, j])
-        entry = float(v[self.unit_row[j - k]])
-        return entry * float(self.unit_sign[j - k]), abs(entry)
-
     def refactor(self, basis: np.ndarray) -> bool:
         """Invert the basis afresh; False if it is singular."""
         self.inverses += 1
         try:
-            self.b_inv = np.linalg.inv(_basis_matrix(self.a, basis))
+            self.b_inv = np.linalg.inv(self.work.dense(basis))
         except np.linalg.LinAlgError:
             return False
         return True
@@ -546,21 +556,12 @@ class _KernelFactor:
     a degenerate position should read exactly zero.
     """
 
-    def __init__(self, a: np.ndarray, missing: np.ndarray, basis: np.ndarray, etas: int):
-        self.a = a
-        m, n = a.shape
-        self.m = m
-        n_work = n + missing.size
-        self.n_work = n_work
+    def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
+        self.work = work
+        m = self.m = work.m
         self.inverses = 0  # kernel inverses computed
-        # The working matrix column by column: A's nonzeros, then the artificials.
-        cols, rows = np.nonzero(a.T)
-        self.rows = np.concatenate([rows, missing])
-        self.cols = np.concatenate([cols, n + np.arange(missing.size)])
-        self.vals = np.concatenate([a[rows, cols], np.ones(missing.size)])
-        self.abs_vals = np.abs(self.vals)
-        self.start = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=n_work))])
-        self.unit_row, self.unit_sign = _unit_columns(a, missing)
+        self.abs_vals = np.abs(work.vals)
+        self.unit_row, self.unit_sign = _unit_columns(work)
         # The eta file: N transposed (one row per pivot), L^-1, pivot positions
         # and whether each is the first pivot on its position.
         self.eta_n = np.zeros((etas, m))
@@ -572,19 +573,14 @@ class _KernelFactor:
 
     def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
         """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
-        weights = v[self.rows]
-        weights *= self.abs_vals if magnitude else self.vals
-        product = np.bincount(self.cols, weights=weights, minlength=self.n_work)
+        work = self.work
+        weights = v[work.rows]
+        weights *= self.abs_vals if magnitude else work.vals
+        product = np.bincount(work.cols, weights=weights, minlength=work.n)
         if out is None:
             return product
         out[:] = product
         return out
-
-    def column_dots(self, v: np.ndarray, j: int) -> tuple[float, float]:
-        """``v . a_j`` and ``|v| . |a_j|`` for working column ``j``."""
-        span = slice(self.start[j], self.start[j + 1])
-        entries = v[self.rows[span]]
-        return float(entries @ self.vals[span]), float(np.abs(entries) @ self.abs_vals[span])
 
     def refactor(self, basis: np.ndarray) -> bool:
         """Split the basis into unit columns and the kernel, and invert the kernel.
@@ -604,7 +600,7 @@ class _KernelFactor:
         s_rows = np.flatnonzero(kernel_row)
         if s_rows.size != s_pos.size:
             return False
-        block = self.a[:, basis[s_pos]]
+        block = self.work.dense(basis[s_pos])
         if s_pos.size:
             self.inverses += 1
             try:
@@ -641,8 +637,9 @@ class _KernelFactor:
         if isinstance(j, np.ndarray):
             x = self._solve(np.arange(self.m), j)
         else:
-            span = slice(self.start[j], self.start[j + 1])
-            x = self._solve(self.rows[span], self.vals[span])
+            work = self.work
+            span = slice(work.start[j], work.start[j + 1])
+            x = self._solve(work.rows[span], work.vals[span])
         k = self.etas
         if k:
             pos = self.eta_pos[:k]
@@ -701,24 +698,24 @@ class _KernelFactor:
 class _SimplexCore:
     """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``.
 
-    The working matrix is ``A`` followed by one artificial column for each row
-    the slack basis leaves uncovered.  Every use of the basis inverse and every
-    product with the working matrix goes through a basis factor:
-    :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows and
+    The working matrix ``work`` is ``A`` followed by one artificial column
+    for each row the slack basis leaves uncovered, appended once.  Every use
+    of the basis inverse and every pricing product goes through a basis
+    factor: :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows and
     :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
     (``B^-1 a_j``), ``btran(v)`` (``v B^-1``; a row of ``B^-1`` is
     ``btran(pos)``), ``update(row, d)`` after a pivot and ``refactor(basis)``,
-    and prices with ``times_a`` and ``column_dots``.  A factor starts on the
-    slack/artificial basis, the identity, with room for ``refactor_every``
-    etas.
+    and prices with ``times_a``.  A factor starts on the slack/artificial
+    basis, the identity, with room for ``refactor_every`` etas.  The refined
+    solves gather the basis from ``work`` itself.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, options: SolverOptions):
         self.a = a
         self.b = b
         self.c = c
         self.options = options
-        self.m, self.n = a.shape
+        self.m, self.n = a.m, a.n
         self.iterations = 0
         self.phase1_iterations = 0
 
@@ -739,8 +736,9 @@ class _SimplexCore:
         n_art = missing.size
         basis[missing] = n + np.arange(n_art)
         self.basis = basis
+        self.work = self.a.with_units(missing)
         factor = _ExplicitInverse if m < _KERNEL_MIN_ROWS else _KernelFactor
-        self.factor = factor(self.a, missing, basis, opts.refactor_every)
+        self.factor = factor(self.work, basis, opts.refactor_every)
         n_work = n + n_art
         self.is_artificial = np.zeros(n_work, dtype=bool)
         self.is_artificial[n:] = True
@@ -825,7 +823,7 @@ class _SimplexCore:
         inverted only once a step is needed.  Returns (feasible, pivoted).
         """
         try:
-            self.x_b = _refined_solve(_basis_matrix(self.a, self.basis), self.b)
+            self.x_b = _refined_solve(self.work.dense(self.basis), self.b)
         except np.linalg.LinAlgError:
             return False, False
         # Negativity below the solution-scale noise floor is genuine basis
@@ -944,8 +942,8 @@ class _SimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _refined_solve(_basis_matrix(self.a, self.basis).T, cost[self.basis])
-                dot, magnitude = self.factor.column_dots(y_acc, j)
+                y_acc = _refined_solve(self.work.dense(self.basis).T, cost[self.basis])
+                dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude
                 if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):

@@ -69,19 +69,6 @@ class DispatchResult:
     def __post_init__(self):
         self.target_value_mt = twh_to_mt(self.hydrogen_mwh / 1e6)
 
-    def dispatch_by_asset(self, asset_id: str) -> np.ndarray:
-        total = None
-        for iid, info in self.instance_info.items():
-            if info["asset_id"] != asset_id:
-                continue
-            series = self.dispatch_mwh.get(iid, self.store_net_mwh.get(iid))
-            if series is None:
-                continue
-            total = series.copy() if total is None else total + series
-        if total is None:
-            raise KeyError(asset_id)
-        return total
-
 
 def _instances(network: Network, fleet: Fleet | None) -> list[_Instance]:
     fleet = (fleet or Fleet()).active(network.horizon)

@@ -26,9 +26,16 @@ from corridor_kit.simplex import (
     STATUS_UNBOUNDED,
     ResidualReport,
     SolverOptions,
+    _Columns,
     _refined_solve,
     _slack_basis,
 )
+
+
+def columns_of(a: np.ndarray) -> _Columns:
+    """The nonzeros of a dense matrix as the simplex's column-by-column working matrix."""
+    cols, rows = np.nonzero(a.T)
+    return _Columns(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
 
 def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
@@ -263,7 +270,12 @@ class LoopStandardizer:
         n_struct = n + len(self.split)
         costs = list(problem.c) + [-problem.c[j] for j in self.split]
 
-        b = list(problem.b - a @ self.shift)
+        # b - A shift, each row summed in column order.
+        ax = np.zeros(m)
+        for i in range(m):
+            for j in range(n):
+                ax[i] += a[i, j] * self.shift[j]
+        b = list(problem.b - ax)
         senses = list(problem.senses)
         self.ub_rows = []
         for j in range(n):
@@ -289,14 +301,11 @@ class LoopStandardizer:
         a_full = a_full / self.row_scale[:, None]
         b_arr = np.asarray(b) / self.row_scale
 
-        slack_of_row = {}
         slack_cols = []
         for i, sense in enumerate(senses):
             if sense == "le":
-                slack_of_row[i] = n_struct + len(slack_cols)
                 slack_cols.append((i, 1.0))
             elif sense == "ge":
-                slack_of_row[i] = n_struct + len(slack_cols)
                 slack_cols.append((i, -1.0))
 
         n_slack = len(slack_cols)
@@ -309,7 +318,6 @@ class LoopStandardizer:
         self.flip = np.where(b_arr < 0, -1.0, 1.0)
         self.a_std *= self.flip[:, None]
         self.b_std = b_arr * self.flip
-        self.slack_of_row = slack_of_row
 
 
 def dense_write_lp_file(problem: LpProblem, path) -> None:
@@ -356,15 +364,19 @@ class BroadcastSimplexCore:
 
     Identical to ``_SimplexCore`` on ``_ExplicitInverse`` except that every
     pivot updates the explicit basis inverse with one broadcast m x m outer
-    product.
+    product, and that it prices over the whole working matrix, densified
+    row-major.  It keeps no phase-1 or inverse counters and reports both as 0.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, options: SolverOptions):
+    phase1_iterations = 0
+    inverses = 0
+
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, options: SolverOptions):
         self.a = a
         self.b = b
         self.c = c
         self.options = options
-        self.m, self.n = a.shape
+        self.m, self.n = a.m, a.n
         self.iterations = 0
 
     def run(self) -> tuple[str, int]:
@@ -374,14 +386,11 @@ class BroadcastSimplexCore:
         # Initial basis: reuse slack columns where they enter positively,
         # add artificial columns elsewhere.
         basis = _slack_basis(self.a, self.c)
-        a_work = self.a
         missing = np.flatnonzero(basis == -1)
         n_art = missing.size
-        if n_art:
-            art = np.zeros((m, n_art))
-            art[missing, np.arange(n_art)] = 1.0
-            basis[missing] = n + np.arange(n_art)
-            a_work = np.concatenate([self.a, art], axis=1)
+        basis[missing] = n + np.arange(n_art)
+        self.work = self.a.with_units(missing)  # the final polish gathers its basis here
+        a_work = np.ascontiguousarray(self.work.dense(np.arange(self.work.n)))
         self.a_work = a_work
         self.basis = basis
         self.is_artificial = np.zeros(a_work.shape[1], dtype=bool)

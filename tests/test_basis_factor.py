@@ -26,7 +26,13 @@ from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import SolverOptions, _KernelFactor, _slack_basis, _Standardizer, solve
 from corridor_kit.translate import translate
 
-from lp_oracles import artificial_heavy_problem, enumerate_vertices_minimum, explicit_inverse, random_problem
+from lp_oracles import (
+    artificial_heavy_problem,
+    columns_of,
+    enumerate_vertices_minimum,
+    explicit_inverse,
+    random_problem,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -45,7 +51,7 @@ def _working_matrix(m: int, rng: np.random.Generator):
 
     The start basis takes a +1 unit column (slack or structural) on every row
     that has one and an artificial on every other row, as the simplex does.
-    Returns the matrix, the rows given artificials, the start basis and the
+    Returns the column count before the artificials, the start basis and the
     working matrix with the artificial columns appended.
     """
     n_struct, n_unit = m, m // 3
@@ -59,11 +65,11 @@ def _working_matrix(m: int, rng: np.random.Generator):
     slack = np.zeros((m, slack_rows.size))
     slack[slack_rows, np.arange(slack_rows.size)] = 1.0
     a = np.hstack([structural, unit, slack])
-    basis = _slack_basis(a, np.zeros(a.shape[1]))
+    basis = _slack_basis(columns_of(a), np.zeros(a.shape[1]))
     missing = np.flatnonzero(basis == -1)
     basis[missing] = a.shape[1] + np.arange(missing.size)
     working = np.hstack([a, np.eye(m)[:, missing]])
-    return a, missing, basis, working
+    return a.shape[1], basis, working
 
 
 def _pivot_randomly(factor, basis, working, n, count, rng):
@@ -103,13 +109,13 @@ def _assert_solves(factor, basis, working, rng):
 )
 def test_kernel_factor_solves_like_the_dense_basis(m, seed, before, after):
     rng = np.random.default_rng(seed)
-    a, missing, basis, working = _working_matrix(m, rng)
-    factor = _KernelFactor(a, missing, basis.copy(), REFACTOR_EVERY)
+    n, basis, working = _working_matrix(m, rng)
+    factor = _KernelFactor(columns_of(working), basis.copy(), REFACTOR_EVERY)
     assert factor.inverses == 0  # the start basis is all unit columns
-    _pivot_randomly(factor, basis, working, a.shape[1], before, rng)
+    _pivot_randomly(factor, basis, working, n, before, rng)
     _assert_solves(factor, basis, working, rng)
     assert factor.refactor(basis)
-    _pivot_randomly(factor, basis, working, a.shape[1], after, rng)
+    _pivot_randomly(factor, basis, working, n, after, rng)
     _assert_solves(factor, basis, working, rng)
 
 
@@ -117,9 +123,9 @@ def test_kernel_factor_grows_past_refactor_every():
     # Pivots outside pricing (drive-out, restoration) can pass refactor_every
     # etas before the next refactorization.
     rng = np.random.default_rng(3)
-    a, missing, basis, working = _working_matrix(60, rng)
-    factor = _KernelFactor(a, missing, basis.copy(), 4)
-    _pivot_randomly(factor, basis, working, a.shape[1], 13, rng)
+    n, basis, working = _working_matrix(60, rng)
+    factor = _KernelFactor(columns_of(working), basis.copy(), 4)
+    _pivot_randomly(factor, basis, working, n, 13, rng)
     assert factor.etas == 13
     _assert_solves(factor, basis, working, rng)
 
@@ -134,8 +140,7 @@ def test_kernel_factor_rejects_singular_bases():
             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
         ]
     )
-    missing = np.zeros(0, dtype=np.int64)
-    factor = _KernelFactor(a, missing, np.array([3, 4, 5]), REFACTOR_EVERY)
+    factor = _KernelFactor(columns_of(a), np.array([3, 4, 5]), REFACTOR_EVERY)
     assert factor.refactor(np.array([0, 4, 5]))
     assert not factor.refactor(np.array([0, 1, 5]))  # the kernel [[2, 2], [1, 1]]
     assert not factor.refactor(np.array([3, 2, 5]))  # two unit columns on row 0
@@ -205,12 +210,12 @@ def test_kernel_path_agrees_on_random_families():
     rng = np.random.default_rng(17)
     for n, m in [(100, 90), (120, 150)]:
         problem = random_problem(rng, n, m)
-        assert _Standardizer(problem).a_std.shape[0] >= simplex_mod._KERNEL_MIN_ROWS
+        assert _Standardizer(problem).columns.m >= simplex_mod._KERNEL_MIN_ROWS
         _assert_paths_agree(problem)
     for n, m, bounded in [(100, 170, False), (70, 100, True)]:
         for _ in range(2):
             problem = artificial_heavy_problem(rng, n, m, bounded)
-            assert _Standardizer(problem).a_std.shape[0] >= simplex_mod._KERNEL_MIN_ROWS
+            assert _Standardizer(problem).columns.m >= simplex_mod._KERNEL_MIN_ROWS
             _assert_paths_agree(problem)
 
 

@@ -52,10 +52,33 @@ def lps(draw, coeff=coefficients(1e-6, 1e6)):
 @given(lps())
 def test_standardizer_bit_identical_to_loop_oracle(problem):
     fast, loop = _Standardizer(problem), LoopStandardizer(problem)
-    for name in ("a_std", "b_std", "c_std", "row_scale", "flip"):
+    # The sparse form holds exactly the oracle's nonzeros, column-major.
+    work = fast.columns
+    assert (work.m, work.n) == loop.a_std.shape
+    cols, rows = np.nonzero(loop.a_std.T)
+    assert work.rows.tobytes() == rows.tobytes() and work.cols.tobytes() == cols.tobytes()
+    assert work.vals.tobytes() == loop.a_std[rows, cols].tobytes()
+    assert work.start.tobytes() == np.searchsorted(cols, np.arange(work.n + 1)).tobytes()
+    for name in ("b_std", "c_std", "row_scale", "flip"):
         got, want = getattr(fast, name), getattr(loop, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    assert fast.slack_of_row == loop.slack_of_row
+
+
+@given(lps(), st.data())
+def test_dense_columns_are_the_oracles_columns(problem, data):
+    # Any columns of the working matrix, artificial unit columns included,
+    # gathered as a Fortran-ordered block: the layout of a gather a[:, cols]
+    # from a row-major matrix, by which the refined solves' residuals round.
+    loop = LoopStandardizer(problem)
+    m = loop.a_std.shape[0]
+    units = np.array(data.draw(st.lists(st.integers(0, m - 1), unique=True)), dtype=np.int64)
+    work = _Standardizer(problem).columns.with_units(np.sort(units))
+    want = np.hstack([loop.a_std, np.eye(m)[:, np.sort(units)]])
+    cols = np.array(data.draw(st.lists(st.integers(0, work.n - 1), max_size=2 * work.n)), dtype=np.int64)
+    block = work.dense(cols)
+    assert block.shape == (m, cols.size) and block.flags.f_contiguous
+    # Only the sign of a zero may differ: the oracle's flipped rows hold -0.
+    assert (block + 0.0).tobytes() == (want[:, cols] + 0.0).tobytes()
 
 
 # The residuals sum the same products in another order than the dense

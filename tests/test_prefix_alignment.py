@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 
 from corridor_kit.simplex import _ExplicitInverse
 
+from lp_oracles import columns_of
+
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -64,7 +66,7 @@ def _structural_then_units(m, n_struct, n_unit, density, seed, lo, hi):
 def test_prefix_products_are_the_whole_products(m, n_struct, n_unit, density, seed, lo, hi):
     a, v = _structural_then_units(m, n_struct, n_unit, density, seed, lo, hi)
     # The explicit inverse whatever m is: the property pins its prefix, not the size cut.
-    factor = _ExplicitInverse(a, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 90)
+    factor = _ExplicitInverse(columns_of(a), np.zeros(0, dtype=np.int64), 90)
     k = factor.dense.shape[1]
     assert k == min(-(-n_struct // 32) * 32, a.shape[1])
     assert (v @ a[:, :k]).tobytes() == (v @ a)[:k].tobytes()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -11,6 +12,7 @@ from corridor_kit.lp import LpBuilder, LpProblem
 from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budget
 from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
+from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
 from corridor_kit.translate import translate
@@ -213,6 +215,22 @@ def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch
     assert solve(budgeted).status == "optimal"
 
 
+def test_standardizer_holds_no_dense_matrix(fixture_doc, base_scenario):
+    # The 16-snapshot LP's m x N standard form takes 3.8 MB densely, and a
+    # dense construction peaks at 5.9 MB; the sparse one stays below 1 MB.
+    doc16 = reduce_document(fixture_doc, 16)
+    network = apply_scenario(build_network(doc16, 2030), base_scenario, 2030)
+    problem = translate(network, phase_out(fleet_from_document(doc16), 2030))
+    tracemalloc.start()
+    try:
+        std = simplex_mod._Standardizer(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert std.columns.m * std.columns.n * 8 > 3 << 20
+    assert peak < 1 << 20
+
+
 def assert_same_bytes_as_broadcast_core(problem):
     """``solve`` on the explicit inverse gives the bytes it gave with the broadcast inverse update."""
     with explicit_inverse():
@@ -278,28 +296,30 @@ def test_retry_counts_both_attempts(monkeypatch):
 
 def test_implicit_unit_columns_keep_artificial_heavy_answers():
     real_drive = simplex_mod._SimplexCore._drive_out_artificials
-    real_split = simplex_mod._ExplicitInverse._split_columns
-    drove_out, prefix_reaches_artificials, artificial_stays = [], [], []
+    real_init = simplex_mod._ExplicitInverse.__init__
+    drove_out, prefix_widths, prefix_reaches_artificials, artificial_stays = [], [], [], []
 
     def drive(core):
         before = core.basis.copy()
         real_drive(core)
         drove_out.append(not np.array_equal(before, core.basis))
 
-    def split(factor, missing):
-        real_split(factor, missing)
-        prefix_reaches_artificials.append(factor.dense.shape[1] > factor.n)
+    def init(factor, work, basis, etas):
+        real_init(factor, work, basis, etas)
+        prefix_widths.append(factor.dense.shape[1])
 
     rng = np.random.default_rng(11)
     with mock.patch.object(simplex_mod._SimplexCore, "_drive_out_artificials", drive), mock.patch.object(
-        simplex_mod._ExplicitInverse, "_split_columns", split
+        simplex_mod._ExplicitInverse, "__init__", init
     ):
         for n, m in [(4, 3), (10, 8), (25, 20), (40, 45), (70, 60)]:
             for bounded in (False, True):
                 for _ in range(3):
                     problem = artificial_heavy_problem(rng, n, m, bounded)
+                    prefix_widths.clear()
                     sol = assert_same_bytes_as_broadcast_core(problem)
-                    n_std = simplex_mod._Standardizer(problem).a_std.shape[1]
+                    n_std = simplex_mod._Standardizer(problem).columns.n
+                    prefix_reaches_artificials.append(max(prefix_widths, default=0) > n_std)
                     artificial_stays.append(sol.basis is not None and max(sol.basis, default=-1) >= n_std)
     assert any(drove_out) and any(prefix_reaches_artificials) and any(artificial_stays)
 
