@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fleet import Fleet
 from .lp import LpProblem
 from .pathway import HorizonStep, _run_chain
 from .scenarios import Scenario
@@ -107,7 +106,7 @@ def extremize(problem: LpProblem, sense: str, options: SolverOptions | None = No
     return solution, mu
 
 
-def _cheapest_representative(budgeted: LpProblem, solution, sense: str, options):
+def _cheapest_representative(budgeted: LpProblem, solution, sense: str):
     """Among solutions attaining the extremal target value, pick the cheapest.
 
     An extremization alone leaves every other dimension free inside the cost
@@ -125,7 +124,7 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, options)
     cost = budgeted.meta["cost_vector"]
     cleanup = budgeted.with_row(PIN_LABEL, target_coeffs, pin_sense, bound, objective=cost)
     cleanup.meta["cost_vector"] = cost
-    refined = solve(cleanup, options)
+    refined = solve(cleanup)
     if refined.status != "optimal":
         return solution
     return refined
@@ -137,8 +136,6 @@ def run_extremal_pathway(
     scenario: Scenario,
     slack: SlackSpec,
     optimal_steps: list[HorizonStep],
-    initial_fleet: Fleet | None = None,
-    solver_options: SolverOptions | None = None,
     aggregate: bool = False,
 ) -> list[HorizonStep]:
     """Extremal sequence along its own lineage, budgeted by the optimal one.
@@ -161,11 +158,11 @@ def run_extremal_pathway(
     def step(problem, horizon, is_last):
         c_star = optimal_of[horizon].record.cost_eur
         budgeted = add_cost_budget(problem, problem.c, c_star, slack.epsilon)
-        solution, mu = extremize(budgeted, slack.sense, solver_options)
+        solution, mu = extremize(budgeted, slack.sense)
         if solution.status == "optimal" and not is_last:
             # The tie-break matters only for the fleet the next horizon inherits.
-            solution = _cheapest_representative(budgeted, solution, slack.sense, solver_options)
+            solution = _cheapest_representative(budgeted, solution, slack.sense)
         return slack.sense, slack.epsilon, budgeted, solution, mu
 
     networks = {h: s.network for h, s in optimal_of.items()}
-    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks)
+    return _run_chain(document, horizons, scenario, step, aggregate, networks)

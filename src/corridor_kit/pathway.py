@@ -16,7 +16,7 @@ from .fleet import Fleet, FleetEntry, fleet_from_document
 from .network import Network, build_network
 from .reduction import aggregate_build_years, disaggregate
 from .scenarios import Scenario, apply_scenario
-from .simplex import SolverOptions, solve
+from .simplex import solve
 from .translate import DispatchResult, extract, translate
 
 BUILD_THRESHOLD_MW = 1e-6  # ignore numerically-zero builds when carrying over
@@ -101,8 +101,6 @@ def run_optimal_pathway(
     document: dict,
     horizons: list[int],
     scenario: Scenario,
-    initial_fleet: Fleet | None = None,
-    solver_options: SolverOptions | None = None,
     aggregate: bool = False,
 ) -> list[HorizonStep]:
     """Cost-optimal sequence over the horizons with capacity carry-over.
@@ -114,12 +112,12 @@ def run_optimal_pathway(
         raise ValueError("horizons must be strictly increasing")
 
     def step(problem, horizon, is_last):
-        return "optimal", None, problem, solve(problem, solver_options), None
+        return "optimal", None, problem, solve(problem), None
 
-    return _run_chain(document, horizons, scenario, step, initial_fleet, aggregate)
+    return _run_chain(document, horizons, scenario, step, aggregate)
 
 
-def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, networks=None):
+def _run_chain(document, horizons, scenario, step, aggregate, networks=None):
     """The myopic horizon loop shared by the optimal and the min/max pathways.
 
     ``step(problem, horizon, is_last)`` solves one horizon's translated LP and
@@ -130,7 +128,7 @@ def _run_chain(document, horizons, scenario, step, initial_fleet, aggregate, net
     without it each horizon's network is built here.
     """
     steps: list[HorizonStep] = []
-    fleet = initial_fleet if initial_fleet is not None else fleet_from_document(document)
+    fleet = fleet_from_document(document)
     prev: HorizonStep | None = None
     for horizon in horizons:
         if prev is not None:

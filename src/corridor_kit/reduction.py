@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -182,10 +183,15 @@ def _params_key(params: dict) -> str:
 
 
 def disaggregate(result: DispatchResult, agg_map: AggregationMap) -> DispatchResult:
-    """Split merged-group dispatch back onto members, proportional to capacity."""
+    """Split merged-group dispatch and flows back onto members, proportional to capacity.
+
+    A merged instance's flow rows are replaced in place by the same rows for
+    each member, in build-year order, with the annual flow times its share.
+    """
     dispatch = dict(result.dispatch_mwh)
     store_net = dict(result.store_net_mwh)
     info = dict(result.instance_info)
+    shares: dict[str, list[tuple[str, float]]] = {}
     for iid, members in agg_map.groups.items():
         if iid not in info:
             continue
@@ -193,9 +199,11 @@ def disaggregate(result: DispatchResult, agg_map: AggregationMap) -> DispatchRes
         total_cap = sum(m.capacity_mw for m in members)
         series = dispatch.pop(iid, None)
         net_series = store_net.pop(iid, None)
+        shares[iid] = []
         for member in members:
             share = member.capacity_mw / total_cap if total_cap > 0 else 0.0
             mid = member.instance_id()
+            shares[iid].append((mid, share))
             info[mid] = {
                 **rec,
                 "iid": mid,
@@ -206,8 +214,17 @@ def disaggregate(result: DispatchResult, agg_map: AggregationMap) -> DispatchRes
                 dispatch[mid] = series * share
             if net_series is not None:
                 store_net[mid] = net_series * share
+    flow_rows = []
+    for iid, rows in groupby(result.flow_rows, key=lambda row: row[3]):
+        if iid not in shares:
+            flow_rows.extend(rows)
+            continue
+        rows = list(rows)
+        for mid, share in shares[iid]:
+            flow_rows.extend((carrier, bus, asset_id, mid, annual * share) for carrier, bus, asset_id, _, annual in rows)
     out = copy.copy(result)
     out.dispatch_mwh = dispatch
     out.store_net_mwh = store_net
     out.instance_info = info
+    out.flow_rows = flow_rows
     return out

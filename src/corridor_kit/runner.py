@@ -28,7 +28,6 @@ from .analysis import _write_csv
 from .mga import SlackSpec, run_extremal_pathway
 from .pathway import HorizonStep, PathwayRecord, run_optimal_pathway
 from .scenarios import Scenario
-from .simplex import SolverOptions
 
 RECORD_COLUMNS = ["scenario_id", "horizon", "sense", "epsilon", "status", "cost_eur", "h2_mt", "mu_raw"]
 FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
@@ -163,7 +162,6 @@ def run_scenario(
     epsilons,
     horizons,
     flows: bool = False,
-    solver_options: SolverOptions | None = None,
     outcome: ScenarioOutcome | None = None,
 ) -> ScenarioOutcome:
     """Optimal pathway, then min and max pathways per slack level.
@@ -182,9 +180,7 @@ def run_scenario(
                 outcome.flows[_flow_key(step.record)] = step.dispatch.flow_rows
 
     outcome.chain = ("optimal", None, min(horizons))
-    optimal = run_optimal_pathway(
-        document, list(horizons), scenario, solver_options=solver_options, aggregate=True
-    )
+    optimal = run_optimal_pathway(document, list(horizons), scenario, aggregate=True)
     collect(optimal)
     covered = [s.record.horizon for s in optimal if s.record.status == "optimal"]
     if not covered:
@@ -198,7 +194,6 @@ def run_scenario(
                 scenario,
                 SlackSpec(epsilon, sense),
                 optimal,
-                solver_options=solver_options,
                 aggregate=True,
             )
             collect(steps)
@@ -237,10 +232,10 @@ def _log_nesting_violations(records: list[PathwayRecord], horizons) -> None:
 
 
 def _worker(args) -> ScenarioOutcome:
-    document, scenario, epsilons, horizons, flows, options = args
+    document, scenario, epsilons, horizons, flows = args
     outcome = ScenarioOutcome(scenario_id=scenario.id, chain=("optimal", None, min(horizons)))
     try:
-        return run_scenario(document, scenario, epsilons, horizons, flows, options, outcome)
+        return run_scenario(document, scenario, epsilons, horizons, flows, outcome)
     except Exception:  # the crashed chain becomes one record; finished chains are kept
         outcome.error = traceback.format_exc()
         sense, epsilon, horizon = outcome.chain
@@ -264,7 +259,6 @@ def run_matrix(
     jobs: int = 1,
     out_dir=None,
     flows: bool = False,
-    solver_options: SolverOptions | None = None,
     manifest: RunManifest | None = None,
 ) -> tuple[list[PathwayRecord], ResultsStore | None]:
     """Run the whole scenario matrix; records are canonically ordered.
@@ -289,7 +283,7 @@ def run_matrix(
         store.write_manifest(manifest)
 
     tasks = [
-        (document, scenario, tuple(sorted(epsilons)), tuple(horizons), flows, solver_options)
+        (document, scenario, tuple(sorted(epsilons)), tuple(horizons), flows)
         for scenario in sorted(scenarios, key=lambda s: s.id)
     ]
     outcomes: list[ScenarioOutcome]

@@ -28,17 +28,13 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_NUMERICAL = "numerical_failure"
 STATUS_TIMEOUT = "timeout"
 
-# Entries of one row block of the basis-inverse update: 256 KiB of float64,
-# so a block's outer product stays in L2 cache while it is subtracted.
-_BLOCK_ENTRIES = 32768
-
-# Column alignment of the explicit inverse's dense prefix (see _ExplicitInverse).
-_ALIGN = 32
-
 # Standard-form rows from which the simplex inverts only the basis kernel
 # (_KernelFactor); smaller LPs keep the explicit inverse (_ExplicitInverse).
 # The measured crossover: a kernel iteration costs 1.02-1.62x an explicit one
 # at 119-136 rows and 0.69-1.13x (10 of 12 LPs below 1) at 148-202 rows.
+# That was against a blocked explicit update; against the broadcast one a
+# kernel iteration cost 0.79-0.99x at 135-136 rows (3 LPs), but moving the
+# cut changes the answers of the LPs it moves.
 _KERNEL_MIN_ROWS = 140
 
 
@@ -78,7 +74,7 @@ class LpSolution:
     residuals: ResidualReport | None = None
     basis: tuple | None = None  # opaque basis fingerprint (standard-form column ids)
     phase1_iterations: int = 0  # of ``iterations``, those spent in phase 1
-    inverses: int = 0  # explicit basis inverses computed
+    inverses: int = 0  # basis inverses computed (kernel inverses on the kernel path)
 
 
 def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
@@ -431,73 +427,27 @@ def _unit_columns(work: _Columns) -> tuple[np.ndarray, np.ndarray]:
     return unit_row, unit_sign
 
 
-def _block_buffer(m: int) -> np.ndarray:
-    """Scratch rows for :func:`_rank1_update`: ``max(1, 32768 // m)`` of them, at most m."""
-    return np.empty((min(m, max(1, _BLOCK_ENTRIES // m)), m))
-
-
-def _rank1_update(b_inv: np.ndarray, x: np.ndarray, r: np.ndarray, block: np.ndarray) -> None:
-    """``b_inv -= x[:, None] * r`` in place, one cache-sized row block at a time.
-
-    Each block's outer product is a k = 1 matrix product into ``block``, which
-    rounds every entry as the broadcast product does.  Only the sign of a zero
-    can differ (the product writes +0 where the broadcast gives -0).  Pivot
-    decisions compare values, where -0 == +0, and the answers are solved again
-    from the final basis, so neither depends on that sign.
-    """
-    rows = block.shape[0]
-    x, r = x[:, None], r[None, :]
-    for start in range(0, b_inv.shape[0], rows):
-        target = b_inv[start : start + rows]
-        product = block[: target.shape[0]]
-        np.dot(x[start : start + rows], r, out=product)
-        np.subtract(target, product, out=target)
-
-
 class _ExplicitInverse:
     """The basis inverse held explicitly, for LPs below ``_KERNEL_MIN_ROWS`` rows.
 
-    A pivot updates the m x m inverse with the blocked rank-1 update; a
-    refactorization inverts the whole basis.  Of the working matrix only the
-    leading columns up to ``k``, the first multiple of 32 past the last column
-    that is not a signed unit column, are held densely; every column from
-    ``k`` on (slacks and artificials) is a ``(row, sign)`` pair.  A unit
-    column's product with a vector is one exact product and its solve against
-    the basis is a signed column of the inverse, so pricing and every pivot
-    are the ones the whole matrix would give.  The prefix product equals the
-    first ``k`` entries of the whole product byte for byte only because ``k``
-    is aligned: a BLAS kernel finishes an unaligned column count with a
-    differently ordered tail.
+    The working matrix is held densely.  Pricing is one product with it, an
+    FTRAN one product of the inverse with one of its columns, a pivot a
+    rank-1 update of the m x m inverse and a refactorization the inverse of
+    the whole basis.
     """
 
     def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
         self.work, self.m = work, work.m
         self.inverses = 0  # basis inverses computed
-        self.block = _block_buffer(self.m)
-        unit_row, unit_sign = _unit_columns(work)
-        dense_cols = np.flatnonzero(unit_sign == 0.0)
-        last = int(dense_cols[-1]) + 1 if dense_cols.size else 0
-        k = min(-(-last // _ALIGN) * _ALIGN, work.n)
-        # C-ordered, as a column slice of a row-major matrix is: the prefix
-        # product equals the whole product byte for byte in that layout, and
-        # a Fortran-ordered prefix rounds differently.
-        self.dense = np.ascontiguousarray(work.dense(np.arange(k)))
+        # C-ordered, as a row-major matrix is: the products round by the
+        # layout, and a Fortran-ordered copy rounds differently.
+        self.dense = np.ascontiguousarray(work.dense(np.arange(work.n)))
         self.abs_dense = np.abs(self.dense)
-        self.unit_row, self.unit_sign = unit_row[k:], unit_sign[k:]
         self.b_inv = np.eye(self.m)  # the start basis is the identity
 
-    def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
+    def times_a(self, v: np.ndarray, magnitude: bool = False) -> np.ndarray:
         """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
-        k = self.dense.shape[1]
-        if out is None:
-            out = np.empty(k + self.unit_row.size)
-        np.matmul(v, self.abs_dense if magnitude else self.dense, out=out[:k])
-        tail = v[self.unit_row]
-        if magnitude:
-            out[k:] = tail
-        else:
-            np.multiply(tail, self.unit_sign, out=out[k:])
-        return out
+        return v @ (self.abs_dense if magnitude else self.dense)
 
     def refactor(self, basis: np.ndarray) -> bool:
         """Invert the basis afresh; False if it is singular."""
@@ -510,12 +460,7 @@ class _ExplicitInverse:
 
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
-        if isinstance(j, np.ndarray):
-            return self.b_inv @ j
-        k = self.dense.shape[1]
-        if j < k:
-            return self.b_inv @ self.dense[:, j]
-        return self.unit_sign[j - k] * self.b_inv[:, self.unit_row[j - k]]
+        return self.b_inv @ (j if isinstance(j, np.ndarray) else self.dense[:, j])
 
     def btran(self, v: int | np.ndarray) -> np.ndarray:
         """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position."""
@@ -527,7 +472,7 @@ class _ExplicitInverse:
         """Replace the basic column at ``row`` by the one whose FTRAN is ``d``."""
         piv = d[row]
         row_r = self.b_inv[row].copy()
-        _rank1_update(self.b_inv, d / piv, row_r, self.block)
+        self.b_inv -= (d / piv)[:, None] * row_r
         self.b_inv[row] = row_r / piv
 
 
@@ -571,16 +516,12 @@ class _KernelFactor:
         self.pivoted = np.zeros(m, dtype=bool)
         self.refactor(basis)  # all unit columns: no inverse to compute
 
-    def times_a(self, v: np.ndarray, out: np.ndarray | None = None, magnitude: bool = False) -> np.ndarray:
+    def times_a(self, v: np.ndarray, magnitude: bool = False) -> np.ndarray:
         """``v @ A`` over the working matrix, or ``v @ |A|`` for a nonnegative ``v`` with ``magnitude``."""
         work = self.work
         weights = v[work.rows]
         weights *= self.abs_vals if magnitude else work.vals
-        product = np.bincount(work.cols, weights=weights, minlength=work.n)
-        if out is None:
-            return product
-        out[:] = product
-        return out
+        return np.bincount(work.cols, weights=weights, minlength=work.n)
 
     def refactor(self, basis: np.ndarray) -> bool:
         """Split the basis into unit columns and the kernel, and invert the kernel.
@@ -905,7 +846,7 @@ class _SimplexCore:
                 noise = self.factor.times_a(np.abs(y), magnitude=True)
                 thr = tol * denom + 1e-12 * (1.0 + noise)
                 since_noise = 0
-            np.subtract(cost, self.factor.times_a(y, out=z), out=z)
+            np.subtract(cost, self.factor.times_a(y), out=z)
             np.add(z, thr, out=score)
             np.divide(score, denom, out=score)  # eligible iff score < 0
             score[closed] = np.inf

@@ -3,8 +3,9 @@
 Besides the brute-force vertex enumeration, this keeps the row-by-row
 reference versions of KKT verification and standardization, against which
 the vectorized ones in :mod:`corridor_kit.simplex` are property-tested, the
-simplex core with the broadcast inverse update, against which the blocked one
-must give the same bytes, and the LP file writer over the dense matrix.
+simplex core with its explicit inverse written inline, against which the
+solver on ``_ExplicitInverse`` must give the same bytes, and the LP file
+writer over the dense matrix.
 """
 
 from __future__ import annotations
@@ -147,9 +148,7 @@ def artificial_heavy_problem(rng: np.random.Generator, n_vars: int, n_rows: int,
     variables that are zero at the feasible point (so equalities among them
     have degenerate artificials, which phase 1 can leave basic and the
     drive-out pivots away), and some equalities appear again doubled
-    (redundant rows, whose artificials stay basic at zero).  Without upper
-    bounds the standard form has no slack columns after the structural ones,
-    so the dense prefix reaches into the artificial block.
+    (redundant rows, whose artificials stay basic at zero).
     """
     a = rng.uniform(-2.0, 2.0, size=(n_rows, n_vars))
     a[rng.uniform(size=a.shape) < 0.4] = 0.0
@@ -360,12 +359,14 @@ def explicit_inverse():
 
 
 class BroadcastSimplexCore:
-    """The simplex core before the blocked inverse update: the oracle for ``_SimplexCore``.
+    """The simplex core with its explicit inverse inline: the byte oracle for ``_SimplexCore``.
 
-    Identical to ``_SimplexCore`` on ``_ExplicitInverse`` except that every
-    pivot updates the explicit basis inverse with one broadcast m x m outer
-    product, and that it prices over the whole working matrix, densified
-    row-major.  It keeps no phase-1 or inverse counters and reports both as 0.
+    It computes what ``_SimplexCore`` on ``_ExplicitInverse`` computes, with
+    the basis inverse and the whole working matrix, densified row-major, as
+    its own attributes: every pivot updates the inverse with one broadcast
+    m x m outer product.  It also inverts the start basis and the basis before
+    every primal restoration, the two inverses ``_SimplexCore`` skips.  It
+    keeps no phase-1 or inverse counters and reports both as 0.
     """
 
     phase1_iterations = 0

@@ -200,7 +200,7 @@ def test_kernel_path_agrees_on_the_fixture(doc8, base_scenario):
 
     cleanups = []
     with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
-        _cheapest_representative(budgeted, extremal, "min", None)
+        _cheapest_representative(budgeted, extremal, "min")
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL
     assert _assert_paths_agree(cleanup).status == "optimal"

@@ -1,5 +1,5 @@
-"""Property tests: vectorized standardization, KKT residuals and the blocked
-inverse update against their oracles."""
+"""Property tests: vectorized standardization, KKT residuals and the explicit
+inverse's update against their oracles."""
 
 from unittest import mock
 
@@ -14,7 +14,7 @@ import corridor_kit.simplex as simplex_mod
 from corridor_kit.lp import LpProblem
 from corridor_kit.simplex import LpSolution, _Standardizer, solve, verify_kkt
 
-from lp_oracles import BroadcastSimplexCore, LoopStandardizer, explicit_inverse, loop_verify_kkt
+from lp_oracles import BroadcastSimplexCore, LoopStandardizer, columns_of, explicit_inverse, loop_verify_kkt
 
 bound = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -110,45 +110,37 @@ def test_verify_kkt_matches_loop_oracle_on_solver_output(problem):
         _assert_residuals_agree(problem, solution)
 
 
-# Sizes of the basis inverse: one row, the largest m one block covers (181)
-# +-1, m whose last block is full (476), one short (475) or a single row
-# (477), and the largest solve16 LP.
-INVERSE_SIZES = [1, 2, 180, 181, 182, 475, 476, 477, 531]
-
-
-def _rank1_case(m, seed, lo, hi, zeros=0.0):
-    """Inverse, column and row with random signs and magnitudes 10**lo..10**hi."""
+def _update_case(m, seed, lo, hi):
+    """Inverse and FTRAN column: magnitudes 10**lo..10**hi, 30% zeros, random signs."""
     rng = np.random.default_rng(seed)
     lo, hi = min(lo, hi), max(lo, hi)
 
     def draw(*shape):
         v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
-        v[rng.random(shape) < zeros] = 0.0
+        v[rng.random(shape) < 0.3] = 0.0
         return v * rng.choice([-1.0, 1.0], shape)  # zeros of both signs
 
-    return draw(m, m), draw(m), draw(m)
+    return draw(m, m), draw(m)
 
 
 magnitude = st.integers(-150, 150)
 
 
-@given(st.sampled_from(INVERSE_SIZES), st.integers(0, 2**32 - 1), magnitude, magnitude)
-def test_blocked_update_is_the_broadcast_update(m, seed, lo, hi):
-    b_inv, x, r = _rank1_case(m, seed, lo, hi)
-    want = b_inv - x[:, None] * r
-    simplex_mod._rank1_update(b_inv, x, r, simplex_mod._block_buffer(m))
-    assert b_inv.tobytes() == want.tobytes()
-
-
-@given(st.sampled_from(INVERSE_SIZES), st.integers(0, 2**32 - 1), magnitude, magnitude)
-def test_blocked_update_differs_only_in_the_sign_of_zeros(m, seed, lo, hi):
-    # The k = 1 matrix product writes a zero product as +0 where the broadcast
-    # product keeps -0, so -0 - (-0) = +0 there but -0 - (+0) = -0 here.
-    b_inv, x, r = _rank1_case(m, seed, lo, hi, zeros=0.3)
-    want = b_inv - x[:, None] * r
-    simplex_mod._rank1_update(b_inv, x, r, simplex_mod._block_buffer(m))
-    assert (b_inv + 0.0).tobytes() == (want + 0.0).tobytes()
-    assert np.all((b_inv.view(np.uint64) == want.view(np.uint64)) | (want == 0.0))
+# Every size the explicit inverse serves, and the largest solve16 LP.
+@given(st.integers(1, 139) | st.just(531), st.integers(0, 2**32 - 1), magnitude, magnitude, st.data())
+def test_explicit_update_is_the_broadcast_update(m, seed, lo, hi, data):
+    # Byte for byte, down to the sign of a zero: -0 - (-0) is +0 but
+    # -0 - (+0) is -0, so a product that wrote +0 would show here.
+    b_inv, d = _update_case(m, seed, lo, hi)
+    row = data.draw(st.integers(0, m - 1))
+    d[row] = d[row] or 1.0
+    piv, row_r = d[row], b_inv[row].copy()
+    want = b_inv - (d / piv)[:, None] * row_r
+    want[row] = row_r / piv
+    factor = simplex_mod._ExplicitInverse(columns_of(np.eye(m)), np.arange(m), 90)
+    factor.b_inv = b_inv
+    factor.update(row, d)
+    assert factor.b_inv.tobytes() == want.tobytes()
 
 
 @given(lps())

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import corridor_kit.pathway as pathway_mod
 from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.network import build_network
+from corridor_kit.pathway import run_optimal_pathway
 from corridor_kit.reduction import (
     aggregate_build_years,
     disaggregate,
@@ -136,6 +138,45 @@ def test_disaggregate_proportional_split(doc8, base_scenario):
     assert np.nanmax(np.abs(ratio - 100.0 / 150.0)) < 1e-9
     # capacities restored per member
     assert split.instance_info["wind_n1@2012"]["capacity_base"] == pytest.approx(100.0)
+
+
+def test_disaggregate_splits_flow_rows(doc8, base_scenario, monkeypatch):
+    # The criterion-10 pathway: the aggregated run's flow tables name every
+    # vintage, in the unaggregated run's order, with the same asset totals.
+    real = pathway_mod.disaggregate
+    splits = []
+
+    def spy(result, agg_map):
+        splits.append((result, agg_map, real(result, agg_map)))
+        return splits[-1][2]
+
+    monkeypatch.setattr(pathway_mod, "disaggregate", spy)
+    horizons = [2030, 2035, 2040, 2045, 2050]
+    plain = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=False)
+    merged = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=True)
+    assert len(plain) == len(merged) == len(splits) == len(horizons)
+    assert any(len(before.flow_rows) < len(after.flow_rows) for before, _, after in splits)
+
+    def asset_sums(rows):
+        sums = {}
+        for carrier, bus, asset_id, _, annual in rows:
+            sums[carrier, bus, asset_id] = sums.get((carrier, bus, asset_id), 0.0) + annual
+        return sums
+
+    for a, b in zip(plain, merged):
+        rows_a, rows_b = a.dispatch.flow_rows, b.dispatch.flow_rows
+        assert [row[:4] for row in rows_b] == [row[:4] for row in rows_a]
+        sums_a, sums_b = asset_sums(rows_a), asset_sums(rows_b)
+        for key, value in sums_a.items():
+            assert sums_b[key] == pytest.approx(value, rel=1e-6, abs=1e-6), key
+        assert {row[3] for row in rows_b} >= set(b.dispatch.instance_info)
+
+    for before, agg_map, after in splits:
+        annual = {row[:4]: row[4] for row in after.flow_rows}
+        for carrier, bus, asset_id, iid, value in before.flow_rows:
+            members = agg_map.groups.get(iid, ())
+            parts = [annual[carrier, bus, asset_id, m.instance_id()] for m in members]
+            assert not members or sum(parts) == pytest.approx(value, rel=1e-12, abs=1e-9)
 
 
 def test_disaggregate_group_of_one_identity():

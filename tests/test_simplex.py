@@ -232,7 +232,7 @@ def test_standardizer_holds_no_dense_matrix(fixture_doc, base_scenario):
 
 
 def assert_same_bytes_as_broadcast_core(problem):
-    """``solve`` on the explicit inverse gives the bytes it gave with the broadcast inverse update."""
+    """``solve`` on the explicit inverse gives the bytes of the broadcast oracle core."""
     with explicit_inverse():
         got = solve(problem)
     with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
@@ -260,7 +260,7 @@ def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
 
     cleanups = []
     with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
-        _cheapest_representative(budgeted, extremal, "min", None)
+        _cheapest_representative(budgeted, extremal, "min")
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL
     assert assert_same_bytes_as_broadcast_core(cleanup).status == "optimal"
@@ -269,7 +269,7 @@ def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
 def test_blocked_update_keeps_random_answers():
     rng = np.random.default_rng(7)
     # With bounded columns the standard form has rows + columns rows, so the
-    # larger draws span several row blocks of the inverse update.
+    # larger draws reach well past _KERNEL_MIN_ROWS on the explicit inverse.
     for n, m in [(3, 2), (12, 9), (40, 25), (60, 40), (100, 90), (120, 150)]:
         for _ in range(2):
             assert_same_bytes_as_broadcast_core(random_problem(rng, n, m))
@@ -296,32 +296,24 @@ def test_retry_counts_both_attempts(monkeypatch):
 
 def test_implicit_unit_columns_keep_artificial_heavy_answers():
     real_drive = simplex_mod._SimplexCore._drive_out_artificials
-    real_init = simplex_mod._ExplicitInverse.__init__
-    drove_out, prefix_widths, prefix_reaches_artificials, artificial_stays = [], [], [], []
+    drove_out, starts_with_artificials, artificial_stays = [], [], []
 
     def drive(core):
         before = core.basis.copy()
         real_drive(core)
         drove_out.append(not np.array_equal(before, core.basis))
 
-    def init(factor, work, basis, etas):
-        real_init(factor, work, basis, etas)
-        prefix_widths.append(factor.dense.shape[1])
-
     rng = np.random.default_rng(11)
-    with mock.patch.object(simplex_mod._SimplexCore, "_drive_out_artificials", drive), mock.patch.object(
-        simplex_mod._ExplicitInverse, "__init__", init
-    ):
+    with mock.patch.object(simplex_mod._SimplexCore, "_drive_out_artificials", drive):
         for n, m in [(4, 3), (10, 8), (25, 20), (40, 45), (70, 60)]:
             for bounded in (False, True):
                 for _ in range(3):
                     problem = artificial_heavy_problem(rng, n, m, bounded)
-                    prefix_widths.clear()
                     sol = assert_same_bytes_as_broadcast_core(problem)
-                    n_std = simplex_mod._Standardizer(problem).columns.n
-                    prefix_reaches_artificials.append(max(prefix_widths, default=0) > n_std)
-                    artificial_stays.append(sol.basis is not None and max(sol.basis, default=-1) >= n_std)
-    assert any(drove_out) and any(prefix_reaches_artificials) and any(artificial_stays)
+                    std = simplex_mod._Standardizer(problem)
+                    starts_with_artificials.append(bool((simplex_mod._slack_basis(std.columns, std.c_std) < 0).any()))
+                    artificial_stays.append(sol.basis is not None and max(sol.basis, default=-1) >= std.columns.n)
+    assert any(drove_out) and any(starts_with_artificials) and any(artificial_stays)
 
 
 def test_optimal_slack_basis_computes_no_inverse():
