@@ -30,7 +30,7 @@ import numpy as np
 from .lp import LpProblem
 from .pathway import HorizonStep, _run_chain
 from .scenarios import Scenario
-from .simplex import SolverOptions, solve
+from .simplex import solve
 
 BUDGET_LABEL = "budget"
 PIN_LABEL = "target_pin"
@@ -81,7 +81,7 @@ def add_cost_budget(
     return out
 
 
-def extremize(problem: LpProblem, sense: str, options: SolverOptions | None = None):
+def extremize(problem: LpProblem, sense: str):
     """Min- or maximize the target subject to the budget row.
 
     Returns ``(solution, mu)`` where ``mu`` is the budget-row dual expressed
@@ -94,7 +94,7 @@ def extremize(problem: LpProblem, sense: str, options: SolverOptions | None = No
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, not {sense!r}")
     solve_problem = replace(problem, c=-problem.c) if sense == "max" else problem
-    solution = solve(solve_problem, options)
+    solution = solve(solve_problem)
     if solution.status != "optimal":
         return solution, None
     row = problem.row_labels.index(BUDGET_LABEL)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .schedules import resolve
 
-LHV_KWH_PER_KG = 33.33  # lower heating value of hydrogen
-TWH_PER_MT_H2 = 33.33  # 1 Mt H2 = 33.33 TWh at the LHV above
-HOURS_PER_YEAR = 8760.0
+TWH_PER_MT_H2 = 33.33  # 1 Mt H2 = 33.33 TWh at hydrogen's lower heating value (33.33 kWh/kg)
 
 ASSET_KINDS = ("generator", "link", "store", "load", "import")
 LIMIT_KINDS = ("net_emission_cap", "sequestration_cap", "import_coupling", "generic_linear")
@@ -115,7 +113,6 @@ class GlobalLimit:
     bound: float = 0.0
     coefficients: dict[str, float] = field(default_factory=dict)
     sense: str = "le"  # le / ge / eq
-    marginal_cost: float = 0.0  # unused; kept for document round-trips
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ def carry_over(
     return phase_out(previous_fleet.extended(entries), horizon)
 
 
-def exempt_asset_ids(network: Network, tags=("electrolysis", "carbon-capture")) -> frozenset:
+def exempt_asset_ids(network: Network) -> frozenset:
     """Assets whose parameters change over time and must never be aggregated."""
-    return frozenset(a.id for a in network.assets for tag in tags if tag in a.tags)
+    return frozenset(a.id for a in network.assets for tag in ("electrolysis", "carbon-capture") if tag in a.tags)
 
 
 def run_optimal_pathway(

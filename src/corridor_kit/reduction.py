@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -132,7 +133,6 @@ class AggregationMap:
     """Provenance of merged fleet entries: merged instance id -> members."""
 
     groups: dict
-    exempt: frozenset
 
 
 def aggregate_build_years(fleet: Fleet, exemptions=frozenset()) -> tuple[Fleet, AggregationMap]:
@@ -143,9 +143,12 @@ def aggregate_build_years(fleet: Fleet, exemptions=frozenset()) -> tuple[Fleet, 
     discarded after that horizon's solve, where co-active same-parameter
     vintages are interchangeable.  A merged entry does not preserve its
     members' phase-out years, so it must not be carried to a later horizon.
-    Exempt assets (time-varying parameters) pass through untouched.
+    Exempt assets (time-varying parameters) pass through untouched, and so
+    does every entry of an asset with two vintages in one build year: the
+    merged entry would take an instance id that the other vintage holds too.
     """
-    exemptions = frozenset(exemptions)
+    vintages = Counter((entry.asset_id, entry.build_year) for entry in fleet)
+    exemptions = frozenset(exemptions) | {asset for (asset, _), count in vintages.items() if count > 1}
     merged: list[FleetEntry] = []
     groups: dict[str, tuple[FleetEntry, ...]] = {}
     buckets: dict[tuple, list[FleetEntry]] = {}
@@ -173,7 +176,7 @@ def aggregate_build_years(fleet: Fleet, exemptions=frozenset()) -> tuple[Fleet, 
         merged.append(entry)
         groups[entry.instance_id()] = tuple(members)
     out = Fleet(tuple(sorted(merged + passthrough, key=lambda e: (e.asset_id, e.build_year))))
-    return out, AggregationMap(groups=groups, exempt=exemptions)
+    return out, AggregationMap(groups=groups)
 
 
 def _params_key(params: dict) -> str:

@@ -38,12 +38,18 @@ class Level:
 
 @dataclass(frozen=True)
 class SettingCategory:
+    """A setting's levels, pessimistic to optimistic.
+
+    A category of one level is pinned: it takes no part in the variation,
+    but its payload still applies.
+    """
+
     name: str
     levels: tuple[Level, ...]
 
     def __post_init__(self):
-        if not 2 <= len(self.levels) <= 3:
-            raise ValueError(f"category {self.name}: need 2 or 3 levels")
+        if not 1 <= len(self.levels) <= 3:
+            raise ValueError(f"category {self.name}: need 1 to 3 levels")
 
     def level(self, name: str) -> Level:
         for lvl in self.levels:
@@ -52,9 +58,9 @@ class SettingCategory:
         raise KeyError(f"category {self.name} has no level {name!r}")
 
     def encoding(self, name: str) -> float:
-        """Dummy value for regression: 2 levels map to {0, 1}, 3 to {0, 0.5, 1}."""
+        """Dummy value for regression: 1 level maps to 0, 2 to {0, 1}, 3 to {0, 0.5, 1}."""
         idx = [lvl.name for lvl in self.levels].index(name)
-        return idx / (len(self.levels) - 1)
+        return idx / max(len(self.levels) - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,7 @@ def load_categories(path=None) -> tuple[SettingCategory, ...]:
     cats = []
     for spec in raw["categories"]:
         levels = tuple(Level(l["name"], l.get("payload", {})) for l in spec["levels"])
-        # A user file may pin a category to one level; keep it out of the
-        # cartesian variation but still apply its payload.
-        cls = SettingCategory if len(levels) >= 2 else _PinnedCategory
-        cats.append(cls(name=spec["name"], levels=levels))
+        cats.append(SettingCategory(name=spec["name"], levels=levels))
     return tuple(cats)
 
 
@@ -100,30 +103,8 @@ def subset_categories(
         if cat.name not in keep:
             out.append(cat)
             continue
-        names = keep[cat.name]
-        levels = tuple(cat.level(n) for n in names)
-        if len(levels) == 1:
-            # A pinned category is not a SettingCategory (needs >= 2 levels);
-            # keep a degenerate copy by duplicating into the dataclass check.
-            out.append(_PinnedCategory(cat.name, levels))
-        else:
-            out.append(SettingCategory(cat.name, levels))
+        out.append(SettingCategory(cat.name, tuple(cat.level(n) for n in keep[cat.name])))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class _PinnedCategory:
-    name: str
-    levels: tuple[Level, ...]
-
-    def level(self, name: str) -> Level:
-        for lvl in self.levels:
-            if lvl.name == name:
-                return lvl
-        raise KeyError(name)
-
-    def encoding(self, name: str) -> float:
-        return 0.0
 
 
 def enumerate_scenarios(categories) -> list[Scenario]:

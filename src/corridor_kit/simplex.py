@@ -1,9 +1,10 @@
 """Reference LP solver: primal revised simplex with dual extraction.
 
 The solver is deterministic (fixed tie-breaking, no randomization) and
-favours exact vertex solutions over speed: dispatch problems at desk scale
-solve in well under a second, and clean basic solutions give well-defined
-row duals for downstream shadow-price work.
+favours exact vertex solutions over speed: clean basic solutions give
+well-defined row duals for downstream shadow-price work.  Every LP takes one
+path, the standard form and the simplex core, and ``optimal`` is certified
+at one place, the KKT check at the end of each attempt.
 
 Dual sign convention
 --------------------
@@ -156,34 +157,6 @@ def _refined_solve(a: np.ndarray, b: np.ndarray, steps: int = 2) -> np.ndarray:
     return x
 
 
-def _solve_unconstrained(problem: LpProblem) -> LpSolution:
-    """Bounds-only problem (no rows): each variable sits at its cheaper bound."""
-    x = np.zeros(problem.n)
-    for j in range(problem.n):
-        lo, hi = problem.lb[j], problem.ub[j]
-        if lo > hi:
-            return LpSolution(status=STATUS_INFEASIBLE)
-        if problem.c[j] > 0:
-            if not np.isfinite(lo):
-                return LpSolution(status=STATUS_UNBOUNDED)
-            x[j] = lo
-        elif problem.c[j] < 0:
-            if not np.isfinite(hi):
-                return LpSolution(status=STATUS_UNBOUNDED)
-            x[j] = hi
-        else:
-            x[j] = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else 0.0)
-    sol = LpSolution(
-        status=STATUS_OPTIMAL,
-        x=x,
-        y=np.zeros(0),
-        objective=float(problem.c @ x),
-        basis=(),
-    )
-    sol.residuals = verify_kkt(problem, sol)
-    return sol
-
-
 class _Columns:
     """A sparse matrix held column by column, the standard revised-simplex storage.
 
@@ -324,8 +297,13 @@ class _Standardizer:
 def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
     """Solve the problem with the reference revised simplex.
 
-    Infeasible and unbounded models, iteration-cap timeouts and failed
-    residual checks are reported through the solution status, never raised.
+    Every LP, one without rows or without columns too, goes through the
+    standard form and the one simplex core, and an attempt reports
+    ``optimal`` only once :func:`verify_kkt` has passed it.  Infeasible and
+    unbounded models, iteration-cap timeouts and failed residual checks are
+    reported through the solution status, never raised; malformed input
+    (non-finite coefficients, NaN or wrong-side infinite bounds) raises
+    ``ValueError``.
     A solve whose final residuals miss the tolerance is retried once with
     conservative settings before numerical failure is reported; the
     reported iterations and inverses then include both attempts.
@@ -334,22 +312,9 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     for arr in (problem.c, problem.a_vals, problem.b):
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("non-finite coefficients in LP")
-    if problem.n == 0:
-        feasible = all(
-            (s == "le" and bi >= 0) or (s == "ge" and bi <= 0) or (s == "eq" and bi == 0)
-            for s, bi in zip(problem.senses, problem.b)
-        )
-        status = STATUS_OPTIMAL if feasible else STATUS_INFEASIBLE
-        sol = LpSolution(status=status)
-        if feasible:
-            sol.x = np.zeros(0)
-            sol.y = np.zeros(problem.m)
-            sol.objective = 0.0
-            sol.residuals = verify_kkt(problem, sol)
-            sol.basis = ()
-        return sol
-    if problem.m == 0:
-        return _solve_unconstrained(problem)
+    # Every comparison with NaN is false, so this also rejects NaN bounds.
+    if not (np.all(problem.lb < np.inf) and np.all(problem.ub > -np.inf)):
+        raise ValueError("NaN bound, lower bound +inf or upper bound -inf in LP")
 
     std = _Standardizer(problem)
     sol = _solve_standardized(problem, std, options)
@@ -763,6 +728,8 @@ class _SimplexCore:
         established) until the exact basic solution is feasible.  The basis is
         inverted only once a step is needed.  Returns (feasible, pivoted).
         """
+        if not self.m:
+            return True, False  # no rows: nothing to restore
         try:
             self.x_b = _refined_solve(self.work.dense(self.basis), self.b)
         except np.linalg.LinAlgError:
@@ -770,7 +737,7 @@ class _SimplexCore:
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
         # noise the final clamp absorbs.
-        scale = 1.0 + (float(np.max(np.abs(self.x_b))) if self.m else 0.0)
+        scale = 1.0 + float(np.max(np.abs(self.x_b)))
         pivoted = False
         for _ in range(200):
             row = int(np.argmin(self.x_b))

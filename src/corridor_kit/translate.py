@@ -86,18 +86,26 @@ def _instances(network: Network, fleet: Fleet | None) -> list[_Instance]:
                 build_year=None,
             )
         )
+        # Vintages of one build year share an instance when the LP sees them
+        # alike, whatever their lifetimes: same efficiencies, same marginal cost.
         grouped: dict[tuple, float] = {}
         for entry in sorted(fleet.for_asset(asset.id), key=lambda e: (e.build_year, e.lifetime)):
-            key = (entry.build_year, entry.lifetime, json.dumps(entry.params, sort_keys=True))
+            efficiencies = entry.params.get("efficiencies", asset.buses)
+            marginal_cost = entry.params.get("marginal_cost", asset.marginal_cost)
+            key = (entry.build_year, json.dumps(efficiencies, sort_keys=True), marginal_cost)
             grouped[key] = grouped.get(key, 0.0) + entry.capacity_mw
-        for (build_year, lifetime, params_json), capacity in grouped.items():
-            params = json.loads(params_json)
+        years = [build_year for build_year, _, _ in grouped]
+        if len(set(years)) < len(years):
+            raise StructuralError(
+                f"asset {asset.id}: vintages of one build year differ in efficiencies or marginal cost"
+            )
+        for (build_year, efficiencies, marginal_cost), capacity in grouped.items():
             out.append(
                 _Instance(
                     iid=f"{asset.id}@{build_year}",
                     asset=asset,
-                    efficiencies=params.get("efficiencies", dict(asset.buses)),
-                    marginal_cost=params.get("marginal_cost", asset.marginal_cost),
+                    efficiencies=json.loads(efficiencies),
+                    marginal_cost=marginal_cost,
                     capacity_base=capacity,
                     build_year=build_year,
                 )

@@ -1,6 +1,7 @@
 """Independent oracles for small LPs used across the test suite.
 
-Besides the brute-force vertex enumeration, this keeps the row-by-row
+Besides the brute-force vertex enumeration and the closed forms of LPs
+without rows or without columns, this keeps the row-by-row
 reference versions of KKT verification and standardization, against which
 the vectorized ones in :mod:`corridor_kit.simplex` are property-tested, the
 simplex core with its explicit inverse written inline, against which the
@@ -82,6 +83,31 @@ def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
     if not found:
         return "infeasible", None
     return "optimal", best
+
+
+def closed_form_minimum(problem: LpProblem) -> tuple[str, float | None]:
+    """Status and optimum of an LP without columns or without rows, in closed form.
+
+    Without columns each row reads ``0 (sense) b_i``, and the LP is feasible
+    iff every row holds at zero.  Without rows each variable sits at its
+    cheaper bound: an empty bound interval makes the LP infeasible, and a
+    cost pointing at an infinite bound of a nonempty one unbounded.
+    """
+    if problem.n == 0:
+        feasible = all(
+            (s == "le" and bi >= 0) or (s == "ge" and bi <= 0) or (s == "eq" and bi == 0)
+            for s, bi in zip(problem.senses, problem.b)
+        )
+        return ("optimal", 0.0) if feasible else ("infeasible", None)
+    if problem.m:
+        raise ValueError("closed form only for LPs without columns or without rows")
+    lb, ub, c = problem.lb, problem.ub, problem.c
+    if np.any(lb > ub):
+        return "infeasible", None
+    if np.any(((c > 0) & ~np.isfinite(lb)) | ((c < 0) & ~np.isfinite(ub))):
+        return "unbounded", None
+    x = np.where(c > 0, lb, np.where(c < 0, ub, np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))))
+    return "optimal", float(c @ x)
 
 
 def _feasible(problem: LpProblem, a: np.ndarray, x: np.ndarray, tol: float = 1e-7) -> bool:
@@ -482,13 +508,15 @@ class BroadcastSimplexCore:
         nonnegative reduced costs pricing just established) until the exact
         basic solution is feasible.  Returns (feasible, pivoted).
         """
+        if not self.m:
+            return True, False  # no rows: nothing to restore
         if not self._refactor():
             return False, False
         self.x_b = _refined_solve(self.a_work[:, self.basis], self.b)
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
         # noise the final clamp absorbs.
-        scale = 1.0 + (float(np.max(np.abs(self.x_b))) if self.m else 0.0)
+        scale = 1.0 + float(np.max(np.abs(self.x_b)))
         pivoted = False
         for _ in range(200):
             row = int(np.argmin(self.x_b))

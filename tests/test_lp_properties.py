@@ -1,5 +1,6 @@
-"""Property tests: vectorized standardization, KKT residuals and the explicit
-inverse's update against their oracles."""
+"""Property tests: vectorized standardization, KKT residuals, the explicit
+inverse's update and the solves of LPs without rows or columns against their
+oracles."""
 
 from unittest import mock
 
@@ -14,7 +15,14 @@ import corridor_kit.simplex as simplex_mod
 from corridor_kit.lp import LpProblem
 from corridor_kit.simplex import LpSolution, _Standardizer, solve, verify_kkt
 
-from lp_oracles import BroadcastSimplexCore, LoopStandardizer, columns_of, explicit_inverse, loop_verify_kkt
+from lp_oracles import (
+    BroadcastSimplexCore,
+    LoopStandardizer,
+    closed_form_minimum,
+    columns_of,
+    explicit_inverse,
+    loop_verify_kkt,
+)
 
 bound = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -152,3 +160,55 @@ def test_solve_bytes_match_broadcast_core(problem):
     assert (got.status, got.iterations, got.basis) == (want.status, want.iterations, want.basis)
     for g, w in ((got.x, want.x), (got.y, want.y)):
         assert (g is None and w is None) or g.tobytes() == w.tobytes()
+
+
+# Bounds, costs and right-hand sides on a grid of quarters: a violation below
+# the solver's feasibility tolerance is no infeasibility to it, so values
+# that differ by 1e-12 would compare tolerance against exact arithmetic.
+quarter = st.integers(-20, 20).map(lambda k: k / 4.0)
+
+
+def _empty_lp(c, senses, b, lb, ub):
+    return LpProblem(
+        c=np.array(c, dtype=float),
+        a_rows=np.zeros(0, dtype=np.int64),
+        a_cols=np.zeros(0, dtype=np.int64),
+        a_vals=np.zeros(0),
+        senses=list(senses),
+        b=np.array(b, dtype=float),
+        lb=np.array(lb, dtype=float),
+        ub=np.array(ub, dtype=float),
+        row_labels=[f"r{i}" for i in range(len(b))],
+        col_labels=[f"x{j}" for j in range(len(c))],
+    )
+
+
+@st.composite
+def bounds_only_lps(draw):
+    n = draw(st.integers(1, 6))
+    lb = [draw(quarter | st.just(-np.inf)) for _ in range(n)]
+    ub = [draw(quarter | st.just(np.inf)) for _ in range(n)]
+    c = draw(st.lists(st.just(0.0) | quarter, min_size=n, max_size=n))
+    return _empty_lp(c, [], [], lb, ub)
+
+
+@st.composite
+def column_free_lps(draw):
+    m = draw(st.integers(1, 6))
+    senses = draw(st.lists(st.sampled_from(["le", "eq", "ge"]), min_size=m, max_size=m))
+    b = draw(st.lists(st.just(0.0) | quarter, min_size=m, max_size=m))
+    return _empty_lp([], senses, b, [], [])
+
+
+@given(bounds_only_lps() | column_free_lps())
+def test_lps_without_rows_or_columns_match_the_closed_forms(problem):
+    # Both kinds take the one standard-form path; the closed forms are the
+    # oracle for what it returns.
+    sol = solve(problem)
+    status, best = closed_form_minimum(problem)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(best, abs=1e-12)
+        assert sol.residuals.passes(1e-8)
+        assert verify_kkt(problem, sol).passes(1e-8)
+        assert (sol.x.size, sol.y.size) == (problem.n, problem.m)

@@ -162,11 +162,11 @@ def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway
     real = mga_mod.extremize
     calls = []
 
-    def fail_second(problem, sense, options=None):
+    def fail_second(problem, sense):
         calls.append(sense)
         if len(calls) == 2:
             return LpSolution(status="infeasible"), None
-        return real(problem, sense, options)
+        return real(problem, sense)
 
     monkeypatch.setattr(mga_mod, "extremize", fail_second)
     steps = run_extremal_pathway(

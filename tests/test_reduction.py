@@ -198,7 +198,7 @@ def test_disaggregate_group_of_one_identity():
         imports_mwh={},
         hydrogen_mwh=0.0,
     )
-    out = disaggregate(result, AggregationMap(groups={}, exempt=frozenset()))
+    out = disaggregate(result, AggregationMap(groups={}))
     assert np.array_equal(out.dispatch_mwh["x@2030"], result.dispatch_mwh["x@2030"])
 
 

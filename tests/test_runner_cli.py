@@ -88,10 +88,10 @@ def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch, capl
 def test_worker_crash_keeps_finished_chains(doc8, tiny_scenarios, tmp_path, monkeypatch):
     real = mga_mod.extremize
 
-    def crash_max(problem, sense, options=None):
+    def crash_max(problem, sense):
         if sense == "max":
             raise RuntimeError("max chain exploded")
-        return real(problem, sense, options)
+        return real(problem, sense)
 
     monkeypatch.setattr(mga_mod, "extremize", crash_max)
     scenario = tiny_scenarios[0]

@@ -53,6 +53,18 @@ def test_levels_orderings_and_encoding(categories):
             assert codes == [0.0, 0.5, 1.0]
 
 
+def test_single_level_category_enumerates_and_encodes():
+    pinned = SettingCategory("x", (Level("a", {"k": 1}),))
+    cats = (pinned, SettingCategory("y", (Level("a", {}), Level("b", {}))))
+    scenarios = enumerate_scenarios(cats)
+    assert [s.id for s in scenarios] == ["x-a_y-a", "x-a_y-b"]
+    assert scenarios[0].payloads["x"] == {"k": 1}
+    assert pinned.encoding("a") == 0.0
+    for levels in ((), tuple(Level(n, {}) for n in "abcd")):
+        with pytest.raises(ValueError):
+            SettingCategory("x", levels)
+
+
 def test_transport_shift_delay_matches_published_rows():
     delayed = shift_transport(BASELINE_SHARES, "delay")
     assert delayed[2040]["ice"] == pytest.approx(0.511)

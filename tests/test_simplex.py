@@ -98,6 +98,42 @@ def test_nonfinite_rejected():
         solve(prob)
 
 
+@pytest.mark.parametrize("lb, ub", [(np.nan, np.inf), (-5.0, np.nan), (np.inf, np.inf), (-np.inf, -np.inf)])
+def test_invalid_bounds_rejected(lb, ub):
+    # min x s.t. x >= -5: read as free, a NaN lower bound would solve to -5,
+    # and the KKT check, which skips a NaN bound, would pass it.
+    bld = LpBuilder()
+    bld.add_col("x", cost=1.0, lb=lb, ub=ub)
+    r = bld.add_row("floor", "ge", -5.0)
+    bld.add_entry(r, 0, 1.0)
+    with pytest.raises(ValueError, match="bound"):
+        solve(bld.build())
+
+
+def _spy_verify_kkt(monkeypatch):
+    calls = []
+    real = simplex_mod.verify_kkt
+    monkeypatch.setattr(simplex_mod, "verify_kkt", lambda problem, sol: calls.append(sol) or real(problem, sol))
+    return calls
+
+
+def test_kkt_certifies_every_kind_of_lp_once(monkeypatch):
+    calls = _spy_verify_kkt(monkeypatch)
+    bld = LpBuilder()
+    bld.add_col("x", cost=1.0, lb=-2.0)
+    bld.add_col("y", cost=-1.0, ub=3.0)
+    bounds_only = bld.build()
+    bld = LpBuilder()
+    bld.add_row("roof", "le", 1.0)
+    bld.add_row("pin", "eq", 0.0)
+    column_free = bld.build()
+    for problem, objective in ((two_var_problem(), 2.5), (bounds_only, -5.0), (column_free, 0.0)):
+        del calls[:]
+        sol = solve(problem)
+        assert (sol.status, sol.objective) == ("optimal", pytest.approx(objective, abs=1e-12))
+        assert len(calls) == 1 and calls[0] is sol
+
+
 def test_duals_and_kkt_hand_built():
     prob = two_var_problem()
     sol = solve(prob)
@@ -287,8 +323,10 @@ def test_retry_counts_both_attempts(monkeypatch):
         return sol
 
     monkeypatch.setattr(simplex_mod, "_solve_standardized", fail_first)
+    kkt_calls = _spy_verify_kkt(monkeypatch)
     sol = solve(random_problem(np.random.default_rng(5), 12, 9))
     assert sol.status == "optimal"
+    assert len(kkt_calls) == 2  # once per attempt
     (first, _), (second, cautious) = attempts
     assert first > 0 and sol.iterations == first + second
     assert (cautious.refactor_every, cautious.stall_iterations) == (20, 40)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import corridor_kit.pathway as pathway_mod
 from corridor_kit.fleet import Fleet, FleetEntry, fleet_from_document
 from corridor_kit.lp import LpBuilder, write_lp_file
 from corridor_kit.mga import add_cost_budget
 from corridor_kit.network import build_network, mt_to_twh
+from corridor_kit.pathway import run_optimal_pathway
+from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import solve
 from corridor_kit.translate import StructuralError, extract, translate
@@ -119,6 +122,42 @@ def test_fleet_instance_frozen_parameters(doc8, base_scenario):
     rec = {r["iid"]: r for r in prob.meta["instances"]}
     assert rec["lys_n2@2030"]["efficiencies"]["h2"] == pytest.approx(0.622)
     assert rec["lys_n2"]["efficiencies"]["h2"] == pytest.approx(0.653)
+
+
+def test_vintages_of_one_build_year_share_one_instance(fixture_doc, scenario_index, monkeypatch):
+    # The document's 1 GW btl@2030 and the 33 GW the 2030 optimum builds are
+    # one instance from 2035 on: both run with btl's efficiencies and cost.
+    doc = reduce_document(fixture_doc, 4)
+    doc["initial_fleet"] = doc["initial_fleet"] + [
+        {"asset": "btl", "build_year": 2030, "capacity_mw": 1000, "lifetime": 25}
+    ]
+    problems = []
+    monkeypatch.setattr(pathway_mod, "translate", lambda *args: problems.append(translate(*args)) or problems[-1])
+    scenario = scenario_index["ccs-a_biomass-a_imports-a_electrolyser-a_transport-a_weather-a"]
+    steps = run_optimal_pathway(doc, [2030, 2035, 2040], scenario, aggregate=True)
+    assert [s.record.status for s in steps] == ["optimal"] * 3
+    for problem in problems:
+        assert len(set(problem.col_labels)) == len(problem.col_labels)
+        assert len(set(problem.row_labels)) == len(problem.row_labels)
+    built_2030 = steps[0].dispatch.built_capacity["btl"]
+    built_2035 = steps[1].dispatch.built_capacity["btl"]
+    assert built_2030 > 1e4 and built_2035 > 1e3
+    assert steps[1].dispatch.instance_info["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
+    # At 2040 the two carried vintages would merge under btl@2030 too; the
+    # document's vintage keeps them apart.
+    info = steps[2].dispatch.instance_info
+    assert info["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
+    assert info["btl@2035"]["capacity_base"] == pytest.approx(built_2035)
+
+
+def test_vintages_of_one_build_year_must_match(doc8, base_scenario):
+    net = apply_scenario(build_network(doc8, 2040), base_scenario, 2040)
+    entry = FleetEntry(asset_id="btl", build_year=2030, capacity_mw=1000.0, lifetime=25)
+    cheaper = FleetEntry(
+        asset_id="btl", build_year=2030, capacity_mw=500.0, lifetime=20, params={"marginal_cost": 0.0}
+    )
+    with pytest.raises(StructuralError, match="btl"):
+        translate(net, Fleet((entry, cheaper)))
 
 
 def test_zero_snapshots_rejected():

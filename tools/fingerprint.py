@@ -1,0 +1,97 @@
+"""Fingerprint the answers of this checkout, to check that a change keeps them byte for byte.
+
+Run it on two checkouts and compare the printed lines::
+
+    python3 tools/fingerprint.py           # matrix2-jobs2, mga8 and solve16, seeds 1-3
+    python3 tools/fingerprint.py --full    # also the full 2-snapshot matrix (about a minute)
+
+BLAS is pinned to one thread through ``perfbench/env.py`` and the program is
+imported from this checkout's ``src``; the answer bits depend on the BLAS
+thread count.  The workload inputs come from ``perfbench/inputs.py``, which
+is read and never written (no bytecode is cached).  The output is one JSON
+line:
+
+* ``matrix2-jobs2`` and ``mga8``, per seed: the sha256 of ``records.csv``
+  and one sha256 over the flow tables in file-name order (``null`` where a
+  workload writes none);
+* ``solve16``, per seed: one sha256 over each pair's scenario, horizon,
+  status, iteration counts, inverses and the bytes of ``x + 0.0`` and
+  ``y + 0.0`` (the addition maps -0.0 to +0.0);
+* ``full2`` with ``--full``: the sha256 of the full 2-snapshot matrix's
+  ``records.csv`` (216 scenarios, three slack levels, 2030-2050, two jobs).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import env  # noqa: E402
+
+env.pin_blas()
+ck = env.import_program()
+
+import inputs  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def store_hashes(store_dir: Path) -> dict:
+    flows = sorted((store_dir / "flows").glob("*.csv"))
+    flow_hash = hashlib.sha256()
+    for path in flows:
+        flow_hash.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "records": _sha((store_dir / "records.csv").read_bytes()),
+        "flows": flow_hash.hexdigest() if flows else None,
+    }
+
+
+def solve16_hash(result) -> str:
+    digest = hashlib.sha256()
+    for scenario_id, horizon, _, solution, _ in result.solves:
+        head = (scenario_id, horizon, solution.status, solution.iterations, solution.phase1_iterations, solution.inverses)
+        digest.update(repr(head).encode())
+        for values in (solution.x, solution.y):
+            digest.update(b"-" if values is None else (values + 0.0).tobytes())
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--full", action="store_true", help="also hash the full 2-snapshot matrix")
+    args = parser.parse_args(argv)
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in ("matrix2-jobs2", "mga8", "solve16"):
+            for seed in SEEDS:
+                store_dir = Path(tmp) / f"{workload}-{seed}"
+                result = workloads.run_pass(ck, inputs.setup(ck, workload, seed), store_dir)
+                key = f"{workload}/{seed}"
+                out[key] = solve16_hash(result) if workload == "solve16" else store_hashes(store_dir)
+        if args.full:
+            document = ck.reduction.reduce_document(ck.fixture.fixture_document(), 2)
+            scenarios = ck.scenarios.enumerate_scenarios(ck.scenarios.load_categories())
+            store_dir = Path(tmp) / "full2"
+            ck.runner.run_matrix(
+                document, scenarios, inputs.EPSILONS, list(inputs.HORIZONS), jobs=2, out_dir=store_dir
+            )
+            out["full2"] = store_hashes(store_dir)["records"]
+    print(json.dumps(out, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
