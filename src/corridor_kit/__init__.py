@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .fleet import Fleet, FleetEntry, fleet_from_document
 from .lp import LpBuilder, LpProblem, write_lp_file
-from .mga import SlackSpec, add_cost_budget, extremize, run_extremal_pathway
+from .mga import SlackSpec, add_cost_budget, budgeted_step, extremize
 from .network import (
     AssetSpec,
     Bus,
@@ -38,7 +38,7 @@ from .network import (
     twh_to_mt,
     validate_network,
 )
-from .pathway import HorizonStep, PathwayRecord, carry_over, phase_out, run_optimal_pathway
+from .pathway import HorizonStep, PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
 from .reduction import (
     AggregationMap,
     Segmentation,

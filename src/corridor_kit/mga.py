@@ -8,12 +8,10 @@ sequences inherit their fleet from the same-sense solution at the previous
 horizon (the lineage rule), while the budget always references the optimal
 sequence.
 
-The horizon loop (phase-out, carry-over, build, translate, extract) lives
-in :mod:`corridor_kit.pathway`; this module supplies only the budgeted
-per-horizon step that replaces the cost-optimal solve.  Each horizon's
-network is taken from the optimal pathway's step, so a (scenario, horizon)
-network is built once for all its pathways; the pathways share nothing else,
-and each translates its own LPs.
+This module holds only the LP-level work: the budget row, the extremization
+and :func:`budgeted_step`, one horizon's budgeted solve with its cleanup.
+The horizon loop (phase-out, carry-over, build, translate, extract) that
+runs it for every min/max pathway is :func:`corridor_kit.pathway.run_pathways`.
 
 The reported ranges are conservative: the extremum at horizon ``i`` is taken
 over solutions reachable from this lineage's predecessor only, whereas the
@@ -28,8 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import LpProblem
-from .pathway import HorizonStep, _run_chain
-from .scenarios import Scenario
 from .simplex import solve
 
 BUDGET_LABEL = "budget"
@@ -49,35 +45,23 @@ class SlackSpec:
             raise ValueError(f"sense must be min or max, not {self.sense!r}")
 
 
-def add_cost_budget(
-    problem: LpProblem,
-    cost: np.ndarray,
-    c_star: float,
-    epsilon: float,
-    target: dict[int, float] | None = None,
-) -> LpProblem:
+def add_cost_budget(problem: LpProblem, c_star: float, epsilon: float) -> LpProblem:
     """Attach the cost-budget row and swap the objective for the target.
 
-    ``cost`` is the original objective being budgeted; ``target`` a sparse
-    column->coefficient map (defaults to the problem's electrolysis output).
+    The budget row holds the problem's own cost vector; the target is its
+    electrolysis output.
     """
     if c_star is None:
         raise ValueError("c_star missing: run the cost-optimal pathway first")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    cost = np.asarray(cost, dtype=float)
-    if target is None:
-        target = problem.aux[TARGET_AUX]
     objective = np.zeros(problem.n)
-    for j, coeff in target.items():
+    for j, coeff in problem.aux[TARGET_AUX].items():
         objective[j] = coeff
-    coeffs = {int(j): float(cost[j]) for j in np.nonzero(cost)[0]}
+    coeffs = {int(j): float(problem.c[j]) for j in np.nonzero(problem.c)[0]}
     rhs = (1.0 + epsilon) * c_star
     out = problem.with_row(BUDGET_LABEL, coeffs, "le", rhs, objective=objective)
-    out.meta["cost_vector"] = cost
     out.meta["budget_rhs"] = rhs
-    out.meta["c_star"] = c_star
-    out.meta["epsilon"] = epsilon
     return out
 
 
@@ -106,7 +90,7 @@ def extremize(problem: LpProblem, sense: str):
     return solution, mu
 
 
-def _cheapest_representative(budgeted: LpProblem, solution, sense: str):
+def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np.ndarray):
     """Among solutions attaining the extremal target value, pick the cheapest.
 
     An extremization alone leaves every other dimension free inside the cost
@@ -114,55 +98,32 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str):
     budget on unused capacity; carried into the next horizon such a fleet can
     make later budgets unreachable.  Re-solving for minimum cost with the
     target pinned at its extremal value is a deterministic tie-break that
-    leaves the recorded extremal value untouched.
+    leaves the recorded extremal value untouched.  ``cost`` is the cost
+    vector that the budget row holds.
     """
     h_star = float(budgeted.c @ solution.x)
     slack = 1e-9 * abs(h_star) + 1e-2
     pin_sense = "le" if sense == "min" else "ge"
     bound = h_star + slack if sense == "min" else h_star - slack
     target_coeffs = {int(j): float(budgeted.c[j]) for j in np.nonzero(budgeted.c)[0]}
-    cost = budgeted.meta["cost_vector"]
     cleanup = budgeted.with_row(PIN_LABEL, target_coeffs, pin_sense, bound, objective=cost)
-    cleanup.meta["cost_vector"] = cost
     refined = solve(cleanup)
     if refined.status != "optimal":
         return solution
     return refined
 
 
-def run_extremal_pathway(
-    document: dict,
-    horizons: list[int],
-    scenario: Scenario,
-    slack: SlackSpec,
-    optimal_steps: list[HorizonStep],
-    aggregate: bool = False,
-) -> list[HorizonStep]:
-    """Extremal sequence along its own lineage, budgeted by the optimal one.
+def budgeted_step(problem: LpProblem, c_star: float, slack: SlackSpec, is_last: bool):
+    """One horizon of an extremal pathway: ``(solution, mu)`` of ``problem`` under its budget.
 
-    ``optimal_steps`` is the cost-optimal chain of the same scenario; it must
-    cover every requested horizon with an optimal record, whose cost is that
-    horizon's ``c_star`` and whose network is shared rather than rebuilt;
-    nothing else is shared.  A failed extremization is recorded and aborts the
-    chain.
+    ``problem`` is the horizon's translated cost-minimization LP and
+    ``c_star`` its optimal cost.  Unless ``is_last``, an optimal extremization
+    is replaced by its cheapest representative, the solution whose fleet the
+    next horizon inherits.
     """
-    optimal_of = {
-        s.record.horizon: s
-        for s in optimal_steps
-        if s.record.sense == "optimal" and s.record.status == "optimal"
-    }
-    for horizon in horizons:
-        if horizon not in optimal_of:
-            raise ValueError(f"no optimal-cost record for horizon {horizon}")
-
-    def step(problem, horizon, is_last):
-        c_star = optimal_of[horizon].record.cost_eur
-        budgeted = add_cost_budget(problem, problem.c, c_star, slack.epsilon)
-        solution, mu = extremize(budgeted, slack.sense)
-        if solution.status == "optimal" and not is_last:
-            # The tie-break matters only for the fleet the next horizon inherits.
-            solution = _cheapest_representative(budgeted, solution, slack.sense)
-        return slack.sense, slack.epsilon, budgeted, solution, mu
-
-    networks = {h: s.network for h, s in optimal_of.items()}
-    return _run_chain(document, horizons, scenario, step, aggregate, networks)
+    budgeted = add_cost_budget(problem, c_star, slack.epsilon)
+    solution, mu = extremize(budgeted, slack.sense)
+    if solution.status == "optimal" and not is_last:
+        # The tie-break matters only for the fleet the next horizon inherits.
+        solution = _cheapest_representative(budgeted, solution, slack.sense, problem.c)
+    return solution, mu

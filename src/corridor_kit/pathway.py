@@ -1,18 +1,24 @@
-"""Myopic multi-horizon driver: sequential per-horizon optimizations.
+"""Myopic multi-horizon pathways: one horizon loop for all the pathways of a scenario.
 
 Each planning horizon is optimized without foresight of later ones; unexpired
 capacity built at earlier horizons is carried forward with parameters frozen
-as built, and assets at the end of their lifetime are phased out.  The same
-horizon loop drives the min/max pathways of :mod:`corridor_kit.mga`, which
-supply only a budgeted per-horizon solve and share the optimal chain's
-networks; every chain translates its own LPs.
+as built, and assets at the end of their lifetime are phased out.  At each
+horizon, :func:`run_pathways` builds the scenario's network once, steps the
+cost-optimal pathway, then steps each min/max pathway under a budget taken
+from that horizon's optimal cost (the budgeted solve is
+:func:`corridor_kit.mga.budgeted_step`).  Every pathway carries its own fleet
+and translates its own LPs; a step that fails or raises ends only its own
+pathway, unless it is the optimal one.
 """
 
 from __future__ import annotations
 
+import traceback
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .fleet import Fleet, FleetEntry, fleet_from_document
+from .mga import SlackSpec, budgeted_step
 from .network import Network, build_network
 from .reduction import aggregate_build_years, disaggregate
 from .scenarios import Scenario, apply_scenario
@@ -51,8 +57,9 @@ class PathwayRecord:
 class HorizonStep:
     record: PathwayRecord
     dispatch: DispatchResult | None
-    fleet: Fleet  # the fleet entering this horizon (after phase-out)
+    fleet: Fleet | None  # the fleet entering this horizon (after phase-out); None if the step raised
     network: Network | None = None
+    error: str | None = None  # the traceback of a step that raised
 
 
 def phase_out(fleet: Fleet, horizon: int) -> Fleet:
@@ -106,62 +113,93 @@ def run_optimal_pathway(
     """Cost-optimal sequence over the horizons with capacity carry-over.
 
     An infeasible (or otherwise failed) horizon is recorded and aborts the
-    chain; earlier steps are retained.
+    pathway; earlier steps are retained.
+    """
+    return list(run_pathways(document, horizons, scenario, (), aggregate))
+
+
+def run_pathways(
+    document: dict,
+    horizons: list[int],
+    scenario: Scenario,
+    slacks: Sequence[SlackSpec] = (),
+    aggregate: bool = False,
+) -> Iterator[HorizonStep]:
+    """The optimal pathway and one extremal pathway per slack, horizon by horizon.
+
+    At each horizon the scenario's network is built once and the optimal
+    pathway steps first; its cost is that horizon's ``c_star``, which budgets
+    a step of every live extremal pathway, in the order of ``slacks``.  Each
+    pathway carries its own fleet and translates its own LP, and every step is
+    yielded as soon as it completes.
+
+    A non-optimal record ends its pathway, and so does a step that raises: it
+    is recorded as ``worker_error`` at its horizon, with its traceback on
+    ``step.error``.  When the optimal pathway ends, every pathway ends.
     """
     if list(horizons) != sorted(set(horizons)):
         raise ValueError("horizons must be strictly increasing")
-
-    def step(problem, horizon, is_last):
-        return "optimal", None, problem, solve(problem), None
-
-    return _run_chain(document, horizons, scenario, step, aggregate)
-
-
-def _run_chain(document, horizons, scenario, step, aggregate, networks=None):
-    """The myopic horizon loop shared by the optimal and the min/max pathways.
-
-    ``step(problem, horizon, is_last)`` solves one horizon's translated LP and
-    returns ``(sense, epsilon, solved_problem, solution, mu)``; the dispatch is
-    extracted from ``solved_problem``, whose cost vector prices ``cost_eur``.
-    A non-optimal solution is recorded and aborts the chain.  ``networks``
-    maps each horizon to the scenario's network, built by another chain;
-    without it each horizon's network is built here.
-    """
-    steps: list[HorizonStep] = []
-    fleet = fleet_from_document(document)
-    prev: HorizonStep | None = None
+    start = fleet_from_document(document)
+    optimal: HorizonStep | None = None
+    latest: list[HorizonStep | None] = [None] * len(slacks)  # each extremal pathway's latest step
     for horizon in horizons:
-        if prev is not None:
-            fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
-        else:
-            fleet = phase_out(fleet, horizon)
-        if networks is not None:
-            network = networks[horizon]
-        else:
+        try:
             network = apply_scenario(build_network(document, horizon), scenario, horizon)
-        work_fleet, agg_map = fleet, None
-        if aggregate:
-            # The grouping lives only inside this horizon's solve, on a fleet
-            # already phased out for it.
-            work_fleet, agg_map = aggregate_build_years(fleet, exempt_asset_ids(network))
-        problem = translate(network, work_fleet)
-        sense, epsilon, solved, solution, mu = step(problem, horizon, horizon == horizons[-1])
-        dispatch, values = None, {}
-        if solution.status == "optimal":
-            dispatch = extract(solved, solution)
-            if agg_map is not None:
-                dispatch = disaggregate(dispatch, agg_map)
-            values = dict(cost_eur=dispatch.objective, h2_mt=dispatch.target_value_mt, mu_raw=mu)
-        record = PathwayRecord(
-            scenario_id=scenario.id,
-            horizon=horizon,
-            sense=sense,
-            epsilon=epsilon,
-            status=solution.status,
-            **values,
-        )
-        prev = HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
-        steps.append(prev)
-        if dispatch is None:
-            break
-    return steps
+            optimal = _advance(
+                optimal, start, network, scenario, aggregate, "optimal", None, lambda lp: (solve(lp), None)
+            )
+        except Exception:
+            yield _failed(scenario, horizon, "optimal", None)
+            return
+        yield optimal
+        if optimal.dispatch is None:
+            return
+        c_star, is_last = optimal.record.cost_eur, horizon == horizons[-1]
+        for i, slack in enumerate(slacks):
+            prev = latest[i]
+            if prev is not None and prev.dispatch is None:
+                continue
+            try:
+                latest[i] = _advance(
+                    prev, start, network, scenario, aggregate, slack.sense, slack.epsilon,
+                    lambda lp: budgeted_step(lp, c_star, slack, is_last),
+                )
+            except Exception:
+                latest[i] = _failed(scenario, horizon, slack.sense, slack.epsilon)
+            yield latest[i]
+
+
+def _advance(prev, start, network, scenario, aggregate, sense, epsilon, solve_lp) -> HorizonStep:
+    """One pathway's step at the network's horizon: carry its fleet, translate, solve, extract.
+
+    ``prev`` is the pathway's previous step (``None`` at its first horizon,
+    whose fleet is ``start`` phased out).  ``solve_lp(problem)`` returns
+    ``(solution, mu)``; the dispatch is extracted from the translated LP,
+    whose cost vector prices ``cost_eur``.
+    """
+    horizon = network.horizon
+    if prev is None:
+        fleet = phase_out(start, horizon)
+    else:
+        fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
+    work_fleet, agg_map = fleet, None
+    if aggregate:
+        # The grouping lives only inside this horizon's solve, on a fleet
+        # already phased out for it.
+        work_fleet, agg_map = aggregate_build_years(fleet, exempt_asset_ids(network))
+    problem = translate(network, work_fleet)
+    solution, mu = solve_lp(problem)
+    dispatch, values = None, {}
+    if solution.status == "optimal":
+        dispatch = extract(problem, solution)
+        if agg_map is not None:
+            dispatch = disaggregate(dispatch, agg_map)
+        values = dict(cost_eur=dispatch.objective, h2_mt=dispatch.target_value_mt, mu_raw=mu)
+    record = PathwayRecord(scenario.id, horizon, sense, epsilon, solution.status, **values)
+    return HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)
+
+
+def _failed(scenario, horizon, sense, epsilon) -> HorizonStep:
+    """The ``worker_error`` step of a pathway whose step at ``horizon`` raised."""
+    record = PathwayRecord(scenario.id, horizon, sense, epsilon, "worker_error")
+    return HorizonStep(record=record, dispatch=None, fleet=None, error=traceback.format_exc())

@@ -3,9 +3,9 @@
 Scenarios are independent and run in a bounded worker pool; a single
 collector in the parent process orders and writes all records, so stores are
 byte-identical regardless of the worker count.  Failed solves are first-class
-records, and a crash in a worker costs only the pathway chain it was running:
-that chain becomes one ``worker_error`` record, and the scenario's finished
-chains are kept.
+records, and so is a step that raises: it becomes a ``worker_error`` record
+at its own horizon, its pathway keeps its earlier horizons, and the other
+pathways run on.  The tracebacks are logged and kept in the store.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ logger = logging.getLogger(__name__)
 
 from . import __version__
 from .analysis import _write_csv
-from .mga import SlackSpec, run_extremal_pathway
-from .pathway import HorizonStep, PathwayRecord, run_optimal_pathway
+from .mga import SlackSpec
+from .pathway import PathwayRecord, run_pathways
 from .scenarios import Scenario
 
 RECORD_COLUMNS = ["scenario_id", "horizon", "sense", "epsilon", "status", "cost_eur", "h2_mt", "mu_raw"]
@@ -138,17 +138,13 @@ class ResultsStore:
                 )
         return out
 
-    def read_manifest(self) -> RunManifest:
-        return RunManifest.from_json((self.path / "manifest.json").read_text())
-
 
 @dataclass
 class ScenarioOutcome:
     scenario_id: str
     records: list = field(default_factory=list)
     flows: dict = field(default_factory=dict)  # key -> flow rows
-    error: str | None = None
-    chain: tuple | None = None  # (sense, epsilon, first horizon) of the chain being run
+    error: str | None = None  # the tracebacks of every step that raised
 
 
 def _flow_key(record: PathwayRecord) -> str:
@@ -162,42 +158,19 @@ def run_scenario(
     epsilons,
     horizons,
     flows: bool = False,
-    outcome: ScenarioOutcome | None = None,
 ) -> ScenarioOutcome:
-    """Optimal pathway, then min and max pathways per slack level.
-
-    Records and flows are added to ``outcome`` chain by chain, and
-    ``outcome.chain`` names the chain being run, so a caller that owns the
-    outcome keeps every finished chain when a later one raises.
-    """
-    if outcome is None:
-        outcome = ScenarioOutcome(scenario_id=scenario.id)
-
-    def collect(steps: list[HorizonStep]):
-        for step in steps:
-            outcome.records.append(step.record)
-            if flows and step.dispatch is not None:
-                outcome.flows[_flow_key(step.record)] = step.dispatch.flow_rows
-
-    outcome.chain = ("optimal", None, min(horizons))
-    optimal = run_optimal_pathway(document, list(horizons), scenario, aggregate=True)
-    collect(optimal)
-    covered = [s.record.horizon for s in optimal if s.record.status == "optimal"]
-    if not covered:
-        return outcome
-    for epsilon in sorted(epsilons):
-        for sense in ("min", "max"):
-            outcome.chain = (sense, epsilon, covered[0])
-            steps = run_extremal_pathway(
-                document,
-                covered,
-                scenario,
-                SlackSpec(epsilon, sense),
-                optimal,
-                aggregate=True,
-            )
-            collect(steps)
-    _log_nesting_violations(outcome.records, covered)
+    """Optimal pathway, and min and max pathways per slack level, in one horizon loop."""
+    outcome = ScenarioOutcome(scenario_id=scenario.id)
+    slacks = [SlackSpec(epsilon, sense) for epsilon in sorted(epsilons) for sense in ("min", "max")]
+    errors = []
+    for step in run_pathways(document, horizons, scenario, slacks, aggregate=True):
+        outcome.records.append(step.record)
+        if step.error is not None:
+            errors.append(step.error)
+        if flows and step.dispatch is not None:
+            outcome.flows[_flow_key(step.record)] = step.dispatch.flow_rows
+    outcome.error = "\n".join(errors) or None
+    _log_nesting_violations(outcome.records, horizons)
     return outcome
 
 
@@ -233,22 +206,11 @@ def _log_nesting_violations(records: list[PathwayRecord], horizons) -> None:
 
 def _worker(args) -> ScenarioOutcome:
     document, scenario, epsilons, horizons, flows = args
-    outcome = ScenarioOutcome(scenario_id=scenario.id, chain=("optimal", None, min(horizons)))
     try:
-        return run_scenario(document, scenario, epsilons, horizons, flows, outcome)
-    except Exception:  # the crashed chain becomes one record; finished chains are kept
-        outcome.error = traceback.format_exc()
-        sense, epsilon, horizon = outcome.chain
-        outcome.records.append(
-            PathwayRecord(
-                scenario_id=scenario.id,
-                horizon=horizon,
-                sense=sense,
-                epsilon=epsilon,
-                status="worker_error",
-            )
-        )
-        return outcome
+        return run_scenario(document, scenario, epsilons, horizons, flows)
+    except Exception:  # a raise outside any pathway step
+        record = PathwayRecord(scenario.id, min(horizons), "optimal", None, "worker_error")
+        return ScenarioOutcome(scenario_id=scenario.id, records=[record], error=traceback.format_exc())
 
 
 def run_matrix(
@@ -264,7 +226,7 @@ def run_matrix(
     """Run the whole scenario matrix; records are canonically ordered.
 
     At most ``len(scenarios) * len(horizons) * (1 + 2 * len(epsilons))``
-    records are produced (aborted chains yield fewer); every failure is
+    records are produced (aborted pathways yield fewer); every failure is
     recorded with its status rather than dropped.
     """
     store = None

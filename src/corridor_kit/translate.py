@@ -386,10 +386,9 @@ def extract(problem: LpProblem, solution) -> DispatchResult:
         emissions += carrier.co2_intensity * annual
 
     hydrogen_mwh = problem.aux_value("electrolysis_output_mwh", x)
-    cost_vec = problem.meta.get("cost_vector", problem.c)
     return DispatchResult(
         horizon=network.horizon,
-        objective=float(cost_vec @ x),
+        objective=float(problem.c @ x),
         built_capacity=built,
         dispatch_mwh=dispatch,
         store_net_mwh=store_net,

@@ -11,9 +11,9 @@ import pytest
 
 from corridor_kit.analysis import Interval, quantile_corridor, subsidy, sensitivity, tapering_point, corridor
 from corridor_kit.fleet import fleet_from_document
-from corridor_kit.mga import SlackSpec, add_cost_budget, extremize, run_extremal_pathway
+from corridor_kit.mga import SlackSpec, add_cost_budget, extremize
 from corridor_kit.network import build_network
-from corridor_kit.pathway import PathwayRecord, run_optimal_pathway
+from corridor_kit.pathway import PathwayRecord, run_optimal_pathway, run_pathways
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import SolverOptions, solve, verify_kkt
@@ -89,12 +89,12 @@ def _two_stage_oracle(network, fleet, sense, budget):
 
 
 def test_criterion_02_mga_exact_at_zero_slack(doc8, base_scenario):
-    optimal = run_optimal_pathway(doc8, HORIZONS, base_scenario)
-    recs = [s.record for s in optimal]
+    every = list(run_pathways(doc8, HORIZONS, base_scenario, [SlackSpec(0.0, "min"), SlackSpec(0.0, "max")]))
+    recs = [s.record for s in every if s.record.sense == "optimal"]
     assert all(r.status == "optimal" for r in recs)
     worst = 0.0
     for sense in ("min", "max"):
-        steps = run_extremal_pathway(doc8, HORIZONS, base_scenario, SlackSpec(0.0, sense), optimal)
+        steps = [s for s in every if s.record.sense == sense]
         assert len(steps) == len(HORIZONS)
         for step in steps:
             assert step.record.status == "optimal"
@@ -109,11 +109,12 @@ def test_criterion_02_mga_exact_at_zero_slack(doc8, base_scenario):
 
 
 def test_criterion_03_epsilon_nesting_first_horizon(doc8, base_scenario):
-    optimal = run_optimal_pathway(doc8, [2030], base_scenario)
+    slacks = [SlackSpec(eps, sense) for eps in (0.02, 0.05, 0.10) for sense in ("max", "min")]
+    every = list(run_pathways(doc8, [2030], base_scenario, slacks))
     maxima, minima = [], []
     for eps in (0.02, 0.05, 0.10):
-        up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "max"), optimal)
-        dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(eps, "min"), optimal)
+        up = [s for s in every if (s.record.sense, s.record.epsilon) == ("max", eps)]
+        dn = [s for s in every if (s.record.sense, s.record.epsilon) == ("min", eps)]
         assert up[0].record.status == dn[0].record.status == "optimal"
         maxima.append(up[0].record.h2_mt)
         minima.append(dn[0].record.h2_mt)
@@ -162,7 +163,7 @@ def test_criterion_05_dual_finite_difference(doc8, scenario_index):
         base = solve(problem)
         assert base.status == "optimal"
         for eps in (0.02, 0.05, 0.10):
-            budgeted = add_cost_budget(problem, problem.c, base.objective, eps)
+            budgeted = add_cost_budget(problem, base.objective, eps)
             sol, mu = extremize(budgeted, "max")
             if sol.status != "optimal" or mu is None or mu <= 0:
                 continue
@@ -172,7 +173,7 @@ def test_criterion_05_dual_finite_difference(doc8, scenario_index):
             if abs(activity - rhs) > 1e-6 * rhs:
                 continue  # budget not binding
             delta = rel_delta * base.objective
-            bumped = add_cost_budget(problem, problem.c, base.objective + delta / (1 + eps), eps)
+            bumped = add_cost_budget(problem, base.objective + delta / (1 + eps), eps)
             sol2, _ = extremize(bumped, "max")
             if sol2.status != "optimal":
                 continue

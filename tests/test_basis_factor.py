@@ -194,13 +194,13 @@ def test_kernel_path_agrees_on_the_fixture(doc8, base_scenario):
     optimal = _assert_paths_agree(problem)
     assert optimal.status == "optimal"
 
-    budgeted = add_cost_budget(problem, problem.c, optimal.objective, 0.05)
+    budgeted = add_cost_budget(problem, optimal.objective, 0.05)
     extremal = _assert_paths_agree(budgeted)
     assert extremal.status == "optimal"
 
     cleanups = []
     with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
-        _cheapest_representative(budgeted, extremal, "min")
+        _cheapest_representative(budgeted, extremal, "min", problem.c)
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL
     assert _assert_paths_agree(cleanup).status == "optimal"

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 import corridor_kit.mga as mga_mod
+import corridor_kit.pathway as pathway_mod
 from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.lp import LpBuilder
-from corridor_kit.mga import SlackSpec, add_cost_budget, extremize, run_extremal_pathway
-from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_optimal_pathway
+from corridor_kit.mga import PIN_LABEL, SlackSpec, add_cost_budget, extremize
+from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.network import build_network
+from corridor_kit.reduction import reduce_document
 from corridor_kit.translate import translate
 from corridor_kit.simplex import LpSolution, solve
+
+
+def pathway_of(steps, sense, epsilon):
+    """The steps of one (sense, epsilon) pathway, in horizon order."""
+    return [s for s in steps if (s.record.sense, s.record.epsilon) == (sense, epsilon)]
 
 
 def entry(build_year=2025, lifetime=20, capacity=100.0, asset="wind_n1"):
@@ -158,7 +165,7 @@ def test_infeasible_horizon_aborts_chain(doc8, base_scenario):
     assert len(steps) == 1
 
 
-def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway, monkeypatch):
+def test_infeasible_extremization_aborts_chain(doc8, base_scenario, monkeypatch):
     real = mga_mod.extremize
     calls = []
 
@@ -169,8 +176,8 @@ def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway
         return real(problem, sense)
 
     monkeypatch.setattr(mga_mod, "extremize", fail_second)
-    steps = run_extremal_pathway(
-        doc8, [2030, 2035, 2040], base_scenario, SlackSpec(0.05, "max"), base_pathway
+    steps = pathway_of(
+        run_pathways(doc8, [2030, 2035, 2040], base_scenario, [SlackSpec(0.05, "max")]), "max", 0.05
     )
     assert len(calls) == 2
     assert [s.record.status for s in steps] == ["optimal", "infeasible"]
@@ -178,6 +185,56 @@ def test_infeasible_extremization_aborts_chain(doc8, base_scenario, base_pathway
     assert failed.record.horizon == 2035 and failed.dispatch is None
     assert failed.record.cost_eur is None and failed.record.h2_mt is None
     assert failed.record.mu_raw is None
+
+
+def test_raising_step_is_recorded_at_its_horizon(fixture_doc, base_scenario, monkeypatch):
+    real = mga_mod.extremize
+
+    def crash_max_2035(problem, sense):
+        if sense == "max" and problem.meta["network"].horizon == 2035:
+            raise RuntimeError("max step exploded")
+        return real(problem, sense)
+
+    monkeypatch.setattr(mga_mod, "extremize", crash_max_2035)
+    slacks = [SlackSpec(0.05, "min"), SlackSpec(0.05, "max")]
+    steps = list(run_pathways(reduce_document(fixture_doc, 2), [2030, 2035, 2040], base_scenario, slacks))
+    assert [(s.record.horizon, s.record.status) for s in pathway_of(steps, "max", 0.05)] == [
+        (2030, "optimal"),
+        (2035, "worker_error"),
+    ]
+    failed = pathway_of(steps, "max", 0.05)[-1]
+    assert failed.dispatch is None and "max step exploded" in failed.error
+    assert [s.record.status for s in pathway_of(steps, "optimal", None)] == ["optimal"] * 3
+    assert pathway_of(steps, "min", 0.05) and all(s.error is None for s in steps if s is not failed)
+
+
+def test_failed_optimal_ends_every_pathway(fixture_doc, base_scenario, monkeypatch):
+    real_solve, real_mga_solve = pathway_mod.solve, mga_mod.solve
+    pins = []
+
+    def fail_2035(problem):
+        if problem.meta["network"].horizon == 2035:
+            return LpSolution(status="infeasible")
+        return real_solve(problem)
+
+    def pin_spy(problem):
+        if problem.row_labels[-1] == PIN_LABEL:
+            pins.append(problem)
+        return real_mga_solve(problem)
+
+    monkeypatch.setattr(pathway_mod, "solve", fail_2035)
+    monkeypatch.setattr(mga_mod, "solve", pin_spy)
+    slacks = [SlackSpec(0.05, "min"), SlackSpec(0.05, "max")]
+    steps = list(run_pathways(reduce_document(fixture_doc, 2), [2030, 2035, 2040], base_scenario, slacks))
+    assert [(s.record.horizon, s.record.sense, s.record.status) for s in steps] == [
+        (2030, "optimal", "optimal"),
+        (2030, "min", "optimal"),
+        (2030, "max", "optimal"),
+        (2035, "optimal", "infeasible"),
+    ]
+    # The failure lies ahead of the extremal pathways, so their first horizon
+    # is not the last one requested and keeps its cleanup solve.
+    assert len(pins) == 2
 
 
 # --- budget / extremization mechanics on hand-built LPs ---
@@ -196,9 +253,9 @@ def tiny_budget_problem():
 
 def test_budget_rhs_values():
     prob = tiny_budget_problem()
-    zero = add_cost_budget(prob, prob.c, 100.0, 0.0)
+    zero = add_cost_budget(prob, 100.0, 0.0)
     assert zero.b[-1] == pytest.approx(100.0)
-    five = add_cost_budget(prob, prob.c, 100.0, 0.05)
+    five = add_cost_budget(prob, 100.0, 0.05)
     assert five.b[-1] == pytest.approx(105.0)
     assert zero.row_labels[-1] == "budget"
 
@@ -206,18 +263,18 @@ def test_budget_rhs_values():
 def test_budget_requires_c_star():
     prob = tiny_budget_problem()
     with pytest.raises(ValueError):
-        add_cost_budget(prob, prob.c, None, 0.1)
+        add_cost_budget(prob, None, 0.1)
 
 
 def test_extremize_two_var_examples():
     prob = tiny_budget_problem()
-    budgeted = add_cost_budget(prob, prob.c, 1.0, 0.1)
+    budgeted = add_cost_budget(prob, 1.0, 0.1)
     sol, mu = extremize(budgeted, "max")
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.1, abs=1e-9)
     assert mu == pytest.approx(1.0, abs=1e-9)  # one extra unit of budget -> one unit of x1
 
-    pinned = add_cost_budget(prob, prob.c, 1.0, 0.0)
+    pinned = add_cost_budget(prob, 1.0, 0.0)
     sol0, _ = extremize(pinned, "max")
     assert sol0.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -231,26 +288,23 @@ def test_extremize_needs_budget_row():
 
 
 def test_budget_epsilon_nesting_first_horizon(doc8, base_scenario):
-    steps = run_optimal_pathway(doc8, [2040], base_scenario)
+    slacks = [SlackSpec(eps, sense) for eps in (0.05, 0.10) for sense in ("max", "min")]
+    steps = list(run_pathways(doc8, [2040], base_scenario, slacks))
     maxima, minima = {}, {}
     for eps in (0.05, 0.10):
-        up = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "max"), steps)
-        dn = run_extremal_pathway(doc8, [2040], base_scenario, SlackSpec(eps, "min"), steps)
+        up = pathway_of(steps, "max", eps)
+        dn = pathway_of(steps, "min", eps)
         maxima[eps] = up[0].record.h2_mt
         minima[eps] = dn[0].record.h2_mt
     assert maxima[0.10] > maxima[0.05]  # budget binds on the fixture, strictly wider
     assert minima[0.10] <= minima[0.05] + 1e-9
 
 
-def test_extremal_requires_optimal_records(doc8, base_scenario):
-    with pytest.raises(ValueError):
-        run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.05, "max"), [])
-
-
 def test_first_horizon_ordering(doc8, base_scenario):
-    steps = run_optimal_pathway(doc8, [2030], base_scenario)
-    up = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "max"), steps)
-    dn = run_extremal_pathway(doc8, [2030], base_scenario, SlackSpec(0.0, "min"), steps)
+    every = list(run_pathways(doc8, [2030], base_scenario, [SlackSpec(0.0, "max"), SlackSpec(0.0, "min")]))
+    steps = pathway_of(every, "optimal", None)
+    up = pathway_of(every, "max", 0.0)
+    dn = pathway_of(every, "min", 0.0)
     h_opt = steps[0].record.h2_mt
     assert dn[0].record.h2_mt <= h_opt + 1e-9
     assert up[0].record.h2_mt >= h_opt - 1e-9

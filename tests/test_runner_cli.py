@@ -110,6 +110,25 @@ def test_worker_crash_keeps_finished_chains(doc8, tiny_scenarios, tmp_path, monk
     assert "max chain exploded" in (store.path / "errors" / f"{scenario.id}.txt").read_text()
 
 
+def test_crashed_pathway_keeps_the_others(fixture_doc, tiny_scenarios, monkeypatch):
+    real = mga_mod.extremize
+
+    def crash_min_2035(problem, sense):
+        if sense == "min" and problem.meta["network"].horizon == 2035:
+            raise RuntimeError("min step exploded")
+        return real(problem, sense)
+
+    monkeypatch.setattr(mga_mod, "extremize", crash_min_2035)
+    outcome = runner_mod._worker(
+        (reduce_document(fixture_doc, 2), tiny_scenarios[0], (0.02, 0.05), (2030, 2035, 2040), False)
+    )
+    crashed = sorted((r.sense, r.epsilon, r.horizon) for r in outcome.records if r.status == "worker_error")
+    assert crashed == [("min", 0.02, 2035), ("min", 0.05, 2035)]
+    assert len(outcome.records) == 13
+    assert all(r.status == "optimal" for r in outcome.records if r.status != "worker_error")
+    assert outcome.error.count("RuntimeError: min step exploded") == 2
+
+
 def test_chains_share_networks(fixture_doc, tiny_scenarios, monkeypatch):
     real_build, real_translate = pathway_mod.build_network, pathway_mod.translate
     built, translated = [], []
@@ -129,8 +148,8 @@ def test_chains_share_networks(fixture_doc, tiny_scenarios, monkeypatch):
     )
     first = [r.status for r in outcome.records if r.horizon == 2030]
     assert first == ["optimal"] * 7 and len(outcome.records) == 2 * 7
-    # The optimal chain builds each horizon's network; the six extremal chains
-    # share it, and every chain translates its own LP.
+    # The horizon loop builds each horizon's network once for all seven
+    # pathways, and every pathway translates its own LP.
     assert built == [2030, 2035]
     assert translated.count(2030) == 7
 

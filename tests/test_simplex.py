@@ -247,7 +247,7 @@ def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch
     monkeypatch.setattr(LpProblem, "dense", no_dense)
     sol = solve(problem)
     assert sol.status == "optimal"
-    budgeted = add_cost_budget(problem, problem.c, sol.objective, 0.05)
+    budgeted = add_cost_budget(problem, sol.objective, 0.05)
     assert solve(budgeted).status == "optimal"
 
 
@@ -290,13 +290,13 @@ def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
     optimal = assert_same_bytes_as_broadcast_core(problem)
     assert optimal.status == "optimal"
 
-    budgeted = add_cost_budget(problem, problem.c, optimal.objective, 0.05)
+    budgeted = add_cost_budget(problem, optimal.objective, 0.05)
     extremal = assert_same_bytes_as_broadcast_core(budgeted)
     assert extremal.status == "optimal"
 
     cleanups = []
     with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
-        _cheapest_representative(budgeted, extremal, "min")
+        _cheapest_representative(budgeted, extremal, "min", problem.c)
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL
     assert assert_same_bytes_as_broadcast_core(cleanup).status == "optimal"

@@ -278,7 +278,7 @@ def _lp_files_match(problem, tmp_path):
 def test_lp_file_matches_dense_writer(tmp_path, solved_fixture):
     net, prob, sol, result = solved_fixture
     _lp_files_match(prob, tmp_path)
-    _lp_files_match(add_cost_budget(prob, prob.c, sol.objective, 0.05), tmp_path)
+    _lp_files_match(add_cost_budget(prob, sol.objective, 0.05), tmp_path)
 
 
 def test_lp_file_sums_duplicate_triplets(tmp_path):

@@ -4,6 +4,10 @@ Run it on two checkouts and compare the printed lines::
 
     python3 tools/fingerprint.py           # matrix2-jobs2, mga8 and solve16, seeds 1-3
     python3 tools/fingerprint.py --full    # also the full 2-snapshot matrix (about a minute)
+    python3 tools/fingerprint.py --full --compare parent.json   # exit 1 if any key differs
+
+``--compare`` reads a line printed by an earlier run, names every key whose
+value differs (or that only one side has) on stderr, and exits 1 if any does.
 
 BLAS is pinned to one thread through ``perfbench/env.py`` and the program is
 imported from this checkout's ``src``; the answer bits depend on the BLAS
@@ -72,6 +76,7 @@ def solve16_hash(result) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true", help="also hash the full 2-snapshot matrix")
+    parser.add_argument("--compare", metavar="PARENT_JSON", help="a file holding an earlier run's line")
     args = parser.parse_args(argv)
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,7 +95,13 @@ def main(argv=None) -> int:
             )
             out["full2"] = store_hashes(store_dir)["records"]
     print(json.dumps(out, sort_keys=True))
-    return 0
+    if args.compare is None:
+        return 0
+    parent = json.loads(Path(args.compare).read_text())
+    differing = sorted(key for key in parent.keys() | out.keys() if parent.get(key) != out.get(key))
+    for key in differing:
+        print(f"differs: {key}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
