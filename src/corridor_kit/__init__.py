@@ -39,14 +39,7 @@ from .network import (
     validate_network,
 )
 from .pathway import HorizonStep, PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
-from .reduction import (
-    AggregationMap,
-    Segmentation,
-    aggregate_build_years,
-    disaggregate,
-    reduce_document,
-    segment,
-)
+from .reduction import Segmentation, reduce_document, segment
 from .runner import ResultsStore, RunManifest, run_matrix, run_scenario
 from .scenarios import (
     ConfigurationError,

@@ -23,12 +23,6 @@ class FleetEntry:
     def active_at(self, horizon: int) -> bool:
         return self.build_year <= horizon < self.build_year + self.lifetime
 
-    def expiry_year(self) -> int:
-        return self.build_year + self.lifetime
-
-    def instance_id(self) -> str:
-        return f"{self.asset_id}@{self.build_year}"
-
 
 @dataclass(frozen=True)
 class Fleet:

@@ -21,6 +21,7 @@ true attainable range can be wider.  Nothing here asserts tightness.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,8 @@ from .simplex import solve
 BUDGET_LABEL = "budget"
 PIN_LABEL = "target_pin"
 TARGET_AUX = "electrolysis_output_mwh"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     make later budgets unreachable.  Re-solving for minimum cost with the
     target pinned at its extremal value is a deterministic tie-break that
     leaves the recorded extremal value untouched.  ``cost`` is the cost
-    vector that the budget row holds.
+    vector that the budget row holds.  If the cleanup solve is not optimal,
+    the extremization's own solution is kept and a warning says so.
     """
     h_star = float(budgeted.c @ solution.x)
     slack = 1e-9 * abs(h_star) + 1e-2
@@ -109,6 +113,10 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     cleanup = budgeted.with_row(PIN_LABEL, target_coeffs, pin_sense, bound, objective=cost)
     refined = solve(cleanup)
     if refined.status != "optimal":
+        logger.warning(
+            "%s: %s cleanup solve ended %s; keeping the extremal solution as found",
+            budgeted.meta.get("name"), sense, refined.status,
+        )
         return solution
     return refined
 

@@ -8,7 +8,9 @@ cost-optimal pathway, then steps each min/max pathway under a budget taken
 from that horizon's optimal cost (the budgeted solve is
 :func:`corridor_kit.mga.budgeted_step`).  Every pathway carries its own fleet
 and translates its own LPs; a step that fails or raises ends only its own
-pathway, unless it is the optimal one.
+pathway, unless it is the optimal one.  With ``aggregate``, each LP merges
+equal vintages of distinct build years (see :func:`corridor_kit.translate.translate`);
+the fleet carried to the next horizon keeps them apart.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from .fleet import Fleet, FleetEntry, fleet_from_document
 from .mga import SlackSpec, budgeted_step
 from .network import Network, build_network
-from .reduction import aggregate_build_years, disaggregate
 from .scenarios import Scenario, apply_scenario
 from .simplex import solve
 from .translate import DispatchResult, extract, translate
@@ -97,11 +98,6 @@ def carry_over(
             )
         )
     return phase_out(previous_fleet.extended(entries), horizon)
-
-
-def exempt_asset_ids(network: Network) -> frozenset:
-    """Assets whose parameters change over time and must never be aggregated."""
-    return frozenset(a.id for a in network.assets for tag in ("electrolysis", "carbon-capture") if tag in a.tags)
 
 
 def run_optimal_pathway(
@@ -182,18 +178,13 @@ def _advance(prev, start, network, scenario, aggregate, sense, epsilon, solve_lp
         fleet = phase_out(start, horizon)
     else:
         fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
-    work_fleet, agg_map = fleet, None
-    if aggregate:
-        # The grouping lives only inside this horizon's solve, on a fleet
-        # already phased out for it.
-        work_fleet, agg_map = aggregate_build_years(fleet, exempt_asset_ids(network))
-    problem = translate(network, work_fleet)
+    # Merged vintages live only inside this horizon's LP: the carried fleet
+    # keeps every vintage, and the dispatch is split back onto them.
+    problem = translate(network, fleet, aggregate)
     solution, mu = solve_lp(problem)
     dispatch, values = None, {}
     if solution.status == "optimal":
         dispatch = extract(problem, solution)
-        if agg_map is not None:
-            dispatch = disaggregate(dispatch, agg_map)
         values = dict(cost_eur=dispatch.objective, h2_mt=dispatch.target_value_mt, mu_raw=mu)
     record = PathwayRecord(scenario.id, horizon, sense, epsilon, solution.status, **values)
     return HorizonStep(record=record, dispatch=dispatch, fleet=fleet, network=network)

@@ -1,16 +1,14 @@
-"""Temporal segmentation of snapshot series and build-year fleet aggregation."""
+"""Temporal segmentation: fewer, longer snapshots fitted on a document's profiles.
+
+Build-year aggregation of the fleet lives in :func:`corridor_kit.translate.translate`.
+"""
 
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
-
-from .fleet import Fleet, FleetEntry
-from .translate import DispatchResult
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,6 @@ def segment(series_matrix: np.ndarray, n: int, weights: np.ndarray | None = None
     series_matrix = np.atleast_2d(np.asarray(series_matrix, dtype=float))
     if series_matrix.ndim != 2 or series_matrix.size == 0:
         raise ValueError("series matrix must be non-empty, shaped (snapshots, series)")
-    if series_matrix.shape[0] == 1 and series_matrix.shape[1] > 1:
-        pass  # single snapshot, many series is legitimate
     t, _ = series_matrix.shape
     if not 1 <= n <= t:
         raise ValueError(f"target segments {n} outside 1..{t}")
@@ -126,108 +122,3 @@ def reduce_document(document: dict, n: int) -> dict:
     for (container, key), profile in zip(refs, profiles):
         container[key] = seg.reduce_series(profile).tolist()
     return doc
-
-
-@dataclass(frozen=True)
-class AggregationMap:
-    """Provenance of merged fleet entries: merged instance id -> members."""
-
-    groups: dict
-
-
-def aggregate_build_years(fleet: Fleet, exemptions=frozenset()) -> tuple[Fleet, AggregationMap]:
-    """Merge fleet entries identical except for build year and expiry.
-
-    Entries merge when asset and frozen parameters match; expiry is ignored.
-    Precondition: the fleet is already phased out at one horizon and is
-    discarded after that horizon's solve, where co-active same-parameter
-    vintages are interchangeable.  A merged entry does not preserve its
-    members' phase-out years, so it must not be carried to a later horizon.
-    Exempt assets (time-varying parameters) pass through untouched, and so
-    does every entry of an asset with two vintages in one build year: the
-    merged entry would take an instance id that the other vintage holds too.
-    """
-    vintages = Counter((entry.asset_id, entry.build_year) for entry in fleet)
-    exemptions = frozenset(exemptions) | {asset for (asset, _), count in vintages.items() if count > 1}
-    merged: list[FleetEntry] = []
-    groups: dict[str, tuple[FleetEntry, ...]] = {}
-    buckets: dict[tuple, list[FleetEntry]] = {}
-    passthrough: list[FleetEntry] = []
-    for entry in fleet:
-        if entry.asset_id in exemptions:
-            passthrough.append(entry)
-            continue
-        key = (entry.asset_id, _params_key(entry.params))
-        buckets.setdefault(key, []).append(entry)
-    for key in sorted(buckets, key=str):
-        members = sorted(buckets[key], key=lambda e: e.build_year)
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        build_year = members[0].build_year
-        expiry = max(m.expiry_year() for m in members)
-        entry = FleetEntry(
-            asset_id=members[0].asset_id,
-            build_year=build_year,
-            capacity_mw=sum(m.capacity_mw for m in members),
-            lifetime=expiry - build_year,
-            params=dict(members[0].params),
-        )
-        merged.append(entry)
-        groups[entry.instance_id()] = tuple(members)
-    out = Fleet(tuple(sorted(merged + passthrough, key=lambda e: (e.asset_id, e.build_year))))
-    return out, AggregationMap(groups=groups)
-
-
-def _params_key(params: dict) -> str:
-    import json
-
-    return json.dumps(params, sort_keys=True)
-
-
-def disaggregate(result: DispatchResult, agg_map: AggregationMap) -> DispatchResult:
-    """Split merged-group dispatch and flows back onto members, proportional to capacity.
-
-    A merged instance's flow rows are replaced in place by the same rows for
-    each member, in build-year order, with the annual flow times its share.
-    """
-    dispatch = dict(result.dispatch_mwh)
-    store_net = dict(result.store_net_mwh)
-    info = dict(result.instance_info)
-    shares: dict[str, list[tuple[str, float]]] = {}
-    for iid, members in agg_map.groups.items():
-        if iid not in info:
-            continue
-        rec = info.pop(iid)
-        total_cap = sum(m.capacity_mw for m in members)
-        series = dispatch.pop(iid, None)
-        net_series = store_net.pop(iid, None)
-        shares[iid] = []
-        for member in members:
-            share = member.capacity_mw / total_cap if total_cap > 0 else 0.0
-            mid = member.instance_id()
-            shares[iid].append((mid, share))
-            info[mid] = {
-                **rec,
-                "iid": mid,
-                "build_year": member.build_year,
-                "capacity_base": member.capacity_mw,
-            }
-            if series is not None:
-                dispatch[mid] = series * share
-            if net_series is not None:
-                store_net[mid] = net_series * share
-    flow_rows = []
-    for iid, rows in groupby(result.flow_rows, key=lambda row: row[3]):
-        if iid not in shares:
-            flow_rows.extend(rows)
-            continue
-        rows = list(rows)
-        for mid, share in shares[iid]:
-            flow_rows.extend((carrier, bus, asset_id, mid, annual * share) for carrier, bus, asset_id, _, annual in rows)
-    out = copy.copy(result)
-    out.dispatch_mwh = dispatch
-    out.store_net_mwh = store_net
-    out.instance_info = info
-    out.flow_rows = flow_rows
-    return out

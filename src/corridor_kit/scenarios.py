@@ -19,9 +19,8 @@ import numpy as np
 
 from .network import Network, replace_assets
 from .schedules import Schedule, schedule_value
-from .translate import ELECTROLYSIS_TAG, IMPORT_TAG
+from .translate import CARBON_CAPTURE_TAG, ELECTROLYSIS_TAG, IMPORT_TAG
 
-CARBON_CAPTURE_TAG = "carbon-capture"
 BIOMASS_SUPPLY_TAG = "biomass-supply"
 COUPLING_LIMIT_NAME = "import_coupling"
 

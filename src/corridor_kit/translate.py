@@ -28,7 +28,10 @@ from .lp import LpBuilder, LpProblem
 from .network import AssetSpec, Network, twh_to_mt
 
 ELECTROLYSIS_TAG = "electrolysis"
+CARBON_CAPTURE_TAG = "carbon-capture"
 IMPORT_TAG = "import"
+# Assets whose parameters change over time: their vintages never merge across build years.
+AGGREGATION_EXEMPT_TAGS = frozenset({ELECTROLYSIS_TAG, CARBON_CAPTURE_TAG})
 
 
 class StructuralError(ValueError):
@@ -47,6 +50,8 @@ class _Instance:
     marginal_cost: float
     capacity_base: float | None  # None = uncapped dispatch
     build_year: int | None  # None for the current horizon's expandable slot
+    # (build_year, capacity) of each vintage merged across build years; empty otherwise
+    members: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass
@@ -70,7 +75,7 @@ class DispatchResult:
         self.target_value_mt = twh_to_mt(self.hydrogen_mwh / 1e6)
 
 
-def _instances(network: Network, fleet: Fleet | None) -> list[_Instance]:
+def _instances(network: Network, fleet: Fleet | None, aggregate: bool) -> list[_Instance]:
     fleet = (fleet or Fleet()).active(network.horizon)
     out: list[_Instance] = []
     for asset in sorted(network.assets, key=lambda a: a.id):
@@ -86,31 +91,47 @@ def _instances(network: Network, fleet: Fleet | None) -> list[_Instance]:
                 build_year=None,
             )
         )
+        entries = sorted(fleet.for_asset(asset.id), key=lambda e: (e.build_year, e.lifetime))
+        years = [entry.build_year for entry in entries]
         # Vintages of one build year share an instance when the LP sees them
-        # alike, whatever their lifetimes: same efficiencies, same marginal cost.
-        grouped: dict[tuple, float] = {}
-        for entry in sorted(fleet.for_asset(asset.id), key=lambda e: (e.build_year, e.lifetime)):
-            efficiencies = entry.params.get("efficiencies", asset.buses)
-            marginal_cost = entry.params.get("marginal_cost", asset.marginal_cost)
-            key = (entry.build_year, json.dumps(efficiencies, sort_keys=True), marginal_cost)
-            grouped[key] = grouped.get(key, 0.0) + entry.capacity_mw
-        years = [build_year for build_year, _, _ in grouped]
-        if len(set(years)) < len(years):
+        # alike, whatever their lifetimes: same efficiencies, same marginal
+        # cost.  With ``aggregate``, vintages of distinct build years share one
+        # too when their recorded parameters match, unless the asset's
+        # parameters change over time (its tags) or two vintages share a year.
+        merge = aggregate and not AGGREGATION_EXEMPT_TAGS & set(asset.tags) and len(set(years)) == len(years)
+        groups: dict[object, list[FleetEntry]] = {}
+        for entry in entries:
+            if merge:
+                key = json.dumps(entry.params, sort_keys=True)
+            else:
+                efficiencies, marginal_cost = _resolved(entry, asset)
+                key = (entry.build_year, json.dumps(efficiencies, sort_keys=True), marginal_cost)
+            groups.setdefault(key, []).append(entry)
+        first_years = [members[0].build_year for members in groups.values()]
+        if len(set(first_years)) < len(first_years):
             raise StructuralError(
                 f"asset {asset.id}: vintages of one build year differ in efficiencies or marginal cost"
             )
-        for (build_year, efficiencies, marginal_cost), capacity in grouped.items():
+        for members in groups.values():
+            efficiencies, marginal_cost = _resolved(members[0], asset)
+            merged = merge and len(members) > 1
             out.append(
                 _Instance(
-                    iid=f"{asset.id}@{build_year}",
+                    iid=f"{asset.id}@{members[0].build_year}",
                     asset=asset,
-                    efficiencies=json.loads(efficiencies),
+                    efficiencies=json.loads(json.dumps(efficiencies, sort_keys=True)),
                     marginal_cost=marginal_cost,
-                    capacity_base=capacity,
-                    build_year=build_year,
+                    capacity_base=sum(m.capacity_mw for m in members),
+                    build_year=members[0].build_year,
+                    members=tuple((m.build_year, m.capacity_mw) for m in members) if merged else (),
                 )
             )
     return out
+
+
+def _resolved(entry: FleetEntry, asset: AssetSpec) -> tuple[dict, float]:
+    """The efficiencies and marginal cost the LP uses for a vintage: its frozen ones, else the asset's."""
+    return entry.params.get("efficiencies", asset.buses), entry.params.get("marginal_cost", asset.marginal_cost)
 
 
 def _electrolysis_output_coeff(inst: _Instance, network: Network) -> float:
@@ -122,13 +143,19 @@ def _electrolysis_output_coeff(inst: _Instance, network: Network) -> float:
     )
 
 
-def translate(network: Network, fleet: Fleet | None = None) -> LpProblem:
+def translate(network: Network, fleet: Fleet | None = None, aggregate: bool = False) -> LpProblem:
     """Build the standard-form LP for one planning horizon.
 
     Rows: one nodal balance equality per (bus, snapshot) except the CO2
     atmosphere bus; dispatch and storage-level capacity rows; cyclic storage
     dynamics; one row per global limit.  The objective is annualized capital
     on newly built capacity plus weighted marginal dispatch cost.
+
+    The fleet's active vintages of one build year share an instance when the
+    LP sees them alike.  ``aggregate`` also merges vintages of distinct build
+    years with equal recorded ``params`` (``AGGREGATION_EXEMPT_TAGS`` and
+    assets with two vintages of one year excepted), and :func:`extract`
+    splits their results back onto the vintages.
     """
     weights = network.snapshots.weights
     n_snap = network.snapshots.count
@@ -141,7 +168,7 @@ def translate(network: Network, fleet: Fleet | None = None) -> LpProblem:
         raise StructuralError("net emission cap requires a CO2 atmosphere bus")
     coupling_limits = [l for l in network.limits if l.kind == "import_coupling"]
 
-    instances = _instances(network, fleet)
+    instances = _instances(network, fleet, aggregate)
     bld = LpBuilder()
 
     cap_col: dict[str, int] = {}
@@ -299,6 +326,7 @@ def translate(network: Network, fleet: Fleet | None = None) -> LpProblem:
                 "capacity_base": inst.capacity_base,
                 "efficiencies": dict(inst.efficiencies),
                 "marginal_cost": inst.marginal_cost,
+                "members": list(inst.members),
             }
             for inst in instances
         ],
@@ -306,11 +334,23 @@ def translate(network: Network, fleet: Fleet | None = None) -> LpProblem:
     return bld.build(aux={"electrolysis_output_mwh": aux_elec}, meta=meta)
 
 
+def _member_shares(rec: dict) -> list[tuple[str, int, float, float]]:
+    """``(iid, build_year, capacity, share)`` of each vintage a merged instance holds, shared by capacity."""
+    total = sum(capacity for _, capacity in rec["members"])
+    return [
+        (f"{rec['asset_id']}@{year}", year, capacity, capacity / total if total > 0 else 0.0)
+        for year, capacity in rec["members"]
+    ]
+
+
 def extract(problem: LpProblem, solution) -> DispatchResult:
     """Map a solved LP back to domain quantities.
 
     Every labelled column lands in exactly one result field; an unknown label
-    is an internal consistency error, not user error.
+    is an internal consistency error, not user error.  An instance that merges
+    vintages of several build years is reported per vintage: its dispatch,
+    net storage, record and flow rows are split by capacity share, and the
+    flow rows of its vintages take its place in the row order.
     """
     if solution.x is None:
         raise ConsistencyError(f"cannot extract from a solution with status {solution.status!r}")
@@ -344,6 +384,7 @@ def extract(problem: LpProblem, solution) -> DispatchResult:
         store_net[iid] = discharge.get(iid, np.zeros(n_snap)) - charge.get(iid, np.zeros(n_snap))
 
     info = {rec["iid"]: rec for rec in problem.meta["instances"]}
+    shares = {iid: _member_shares(rec) for iid, rec in info.items() if rec["members"]}
     atmosphere = network.co2_bus("atmosphere")
     permanent = network.co2_bus("permanent")
 
@@ -354,27 +395,40 @@ def extract(problem: LpProblem, solution) -> DispatchResult:
     for iid in sorted(info):
         rec = info[iid]
         asset = network.asset(rec["asset_id"])
+        rows = []
         if rec["kind"] == "store":
             bus_id = next(iter(asset.buses))
-            annual = float(store_net[iid].sum())
-            flow_rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, annual))
-            continue
-        effs = rec["efficiencies"]
-        metered = dispatch.get(iid, np.zeros(n_snap))
-        carrier_primary = network.bus_carrier(next(iter(effs)))
-        if asset.kind == "import":
-            imports[carrier_primary.name] = imports.get(carrier_primary.name, 0.0) + float(
-                metered.sum()
-            )
-            emissions -= carrier_primary.co2_intensity * float(metered.sum())
-        for bus_id, eff in sorted(effs.items()):
-            annual = eff * float(metered.sum())
-            if atmosphere is not None and bus_id == atmosphere.id:
-                emissions += annual
-                continue
-            if permanent is not None and bus_id == permanent.id and eff > 0:
-                sequestered += annual
-            flow_rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, annual))
+            rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, float(store_net[iid].sum())))
+        else:
+            effs = rec["efficiencies"]
+            metered = dispatch.get(iid, np.zeros(n_snap))
+            carrier_primary = network.bus_carrier(next(iter(effs)))
+            if asset.kind == "import":
+                imports[carrier_primary.name] = imports.get(carrier_primary.name, 0.0) + float(
+                    metered.sum()
+                )
+                emissions -= carrier_primary.co2_intensity * float(metered.sum())
+            for bus_id, eff in sorted(effs.items()):
+                annual = eff * float(metered.sum())
+                if atmosphere is not None and bus_id == atmosphere.id:
+                    emissions += annual
+                    continue
+                if permanent is not None and bus_id == permanent.id and eff > 0:
+                    sequestered += annual
+                rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, annual))
+        if iid in shares:
+            # A merged instance's rows, repeated for each vintage in build-year order.
+            rows = [(*row[:3], mid, row[4] * share) for mid, _, _, share in shares[iid] for row in rows]
+        flow_rows.extend(rows)
+
+    for iid, members in shares.items():
+        rec, series, net_series = info.pop(iid), dispatch.pop(iid, None), store_net.pop(iid, None)
+        for mid, build_year, capacity, share in members:
+            info[mid] = {**rec, "iid": mid, "build_year": build_year, "capacity_base": capacity, "members": []}
+            if series is not None:
+                dispatch[mid] = series * share
+            if net_series is not None:
+                store_net[mid] = net_series * share
 
     for asset in sorted(network.assets, key=lambda a: a.id):
         if asset.kind != "load":

@@ -5,7 +5,7 @@ import corridor_kit.mga as mga_mod
 import corridor_kit.pathway as pathway_mod
 from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.lp import LpBuilder
-from corridor_kit.mga import PIN_LABEL, SlackSpec, add_cost_budget, extremize
+from corridor_kit.mga import PIN_LABEL, SlackSpec, add_cost_budget, budgeted_step, extremize
 from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.network import build_network
@@ -280,6 +280,25 @@ def test_extremize_two_var_examples():
 
     low, _ = extremize(budgeted, "min")
     assert low.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_failed_cleanup_keeps_the_extremum_and_warns(monkeypatch, caplog):
+    real_solve = mga_mod.solve
+
+    def fail_pin(problem):
+        if problem.row_labels[-1] == PIN_LABEL:
+            return LpSolution(status="numerical_failure")
+        return real_solve(problem)
+
+    monkeypatch.setattr(mga_mod, "solve", fail_pin)
+    prob = tiny_budget_problem()
+    prob.meta["name"] = "tiny@2030"
+    with caplog.at_level("WARNING", logger="corridor_kit.mga"):
+        solution, mu = budgeted_step(prob, 1.0, SlackSpec(0.1, "max"), is_last=False)
+    assert solution.status == "optimal" and solution.objective == pytest.approx(1.1, abs=1e-9)
+    assert mu == pytest.approx(1.0, abs=1e-9)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "corridor_kit.mga"]
+    assert "tiny@2030" in message and "max" in message and "numerical_failure" in message
 
 
 def test_extremize_needs_budget_row():

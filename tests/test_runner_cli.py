@@ -137,9 +137,9 @@ def test_chains_share_networks(fixture_doc, tiny_scenarios, monkeypatch):
         built.append(horizon)
         return real_build(document, horizon)
 
-    def translate_spy(network, fleet):
+    def translate_spy(network, fleet, aggregate=False):
         translated.append(network.horizon)
-        return real_translate(network, fleet)
+        return real_translate(network, fleet, aggregate)
 
     monkeypatch.setattr(pathway_mod, "build_network", build_spy)
     monkeypatch.setattr(pathway_mod, "translate", translate_spy)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -294,3 +296,161 @@ def test_lp_file_sums_duplicate_triplets(tmp_path):
     _lp_files_match(problem, tmp_path)
     text = (tmp_path / "triplets.lp").read_text()
     assert " r1: -0.29999999999999999 x0 >=" in text and " r2: 0 x0 =" in text
+
+
+# --- build-year aggregation: translate merges equal vintages, extract splits them ---
+
+
+def wind_entry(build_year, capacity, lifetime=25, params=None):
+    return FleetEntry("wind_n1", build_year, capacity, lifetime, params or {})
+
+
+def fleet_records(problem, asset_id):
+    return {rec["iid"]: rec for rec in problem.meta["instances"] if rec["asset_id"] == asset_id and rec["build_year"]}
+
+
+@pytest.fixture(scope="module")
+def net2030(doc8, base_scenario):
+    return apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+
+
+def test_aggregate_merges_vintages_of_one_expiry(net2030):
+    fleet = Fleet((wind_entry(2010, 100.0, 30), wind_entry(2015, 150.0, 25)))
+    records = fleet_records(translate(net2030, fleet, aggregate=True), "wind_n1")
+    assert list(records) == ["wind_n1@2010"]
+    assert records["wind_n1@2010"]["capacity_base"] == pytest.approx(250.0)
+    assert records["wind_n1@2010"]["members"] == [(2010, 100.0), (2015, 150.0)]
+    assert list(fleet_records(translate(net2030, fleet), "wind_n1")) == ["wind_n1@2010", "wind_n1@2015"]
+
+
+def test_aggregate_ignores_expiry(net2030):
+    fleet = Fleet((wind_entry(2015, 150.0, 30), wind_entry(2010, 100.0, 30)))
+    records = fleet_records(translate(net2030, fleet, aggregate=True), "wind_n1")
+    assert list(records) == ["wind_n1@2010"]
+    assert records["wind_n1@2010"]["capacity_base"] == pytest.approx(250.0)
+
+
+def test_aggregate_keys_on_recorded_params(net2030):
+    frozen = {"efficiencies": {"el1": 1.0}, "marginal_cost": 0.5}
+    fleet = Fleet((wind_entry(2010, 100.0), wind_entry(2015, 150.0, params=frozen), wind_entry(2020, 50.0)))
+    records = fleet_records(translate(net2030, fleet, aggregate=True), "wind_n1")
+    assert {iid: rec["members"] for iid, rec in records.items()} == {
+        "wind_n1@2010": [(2010, 100.0), (2020, 50.0)],
+        "wind_n1@2015": [],
+    }
+
+
+def test_aggregate_exempts_tagged_assets_and_shared_build_years(doc8, base_scenario):
+    net = apply_scenario(build_network(doc8, 2040), base_scenario, 2040)
+    fleet = Fleet(
+        (
+            FleetEntry("lys_n2", 2030, 10.0, 25),  # electrolysis
+            FleetEntry("lys_n2", 2035, 20.0, 20),
+            FleetEntry("dac", 2030, 10.0, 25),  # carbon-capture
+            FleetEntry("dac", 2035, 20.0, 20),
+            wind_entry(2020, 100.0, 25),  # two vintages of 2020: no merge across years
+            wind_entry(2020, 50.0, 30),
+            wind_entry(2030, 70.0),
+        )
+    )
+    problem = translate(net, fleet, aggregate=True)
+    assert problem.col_labels == translate(net, fleet).col_labels
+    assert all(not rec["members"] for rec in problem.meta["instances"])
+    assert fleet_records(problem, "wind_n1")["wind_n1@2020"]["capacity_base"] == pytest.approx(150.0)
+
+
+def test_aggregate_member_capacities_sum_to_the_instance(net2030):
+    fleet = Fleet((wind_entry(2010, 100.0, 30), wind_entry(2015, 150.0, 25), wind_entry(2020, 0.1)))
+    [rec] = fleet_records(translate(net2030, fleet, aggregate=True), "wind_n1").values()
+    assert sum(capacity for _, capacity in rec["members"]) == pytest.approx(rec["capacity_base"])
+    assert [year for year, _ in rec["members"]] == [2010, 2015, 2020]
+
+
+def test_aggregate_group_of_one_is_identity(net2030):
+    fleet = Fleet((wind_entry(2015, 150.0), FleetEntry("ocgt_n1", 2012, 20000.0, 28)))
+    plain, merged = translate(net2030, fleet), translate(net2030, fleet, aggregate=True)
+    assert merged.col_labels == plain.col_labels and merged.row_labels == plain.row_labels
+    assert np.array_equal(merged.a_vals, plain.a_vals) and np.array_equal(merged.b, plain.b)
+    sol = solve(merged)
+    a, b = extract(plain, sol), extract(merged, sol)
+    assert a.flow_rows == b.flow_rows
+    assert a.instance_info == b.instance_info
+    assert all(np.array_equal(a.dispatch_mwh[k], b.dispatch_mwh[k]) for k in a.dispatch_mwh)
+
+
+def test_extract_splits_merged_dispatch_by_capacity(doc8, base_scenario):
+    net = apply_scenario(build_network(doc8, 2040), base_scenario, 2040)
+    fleet = Fleet((wind_entry(2012, 100.0, 30), wind_entry(2017, 150.0, 25)))
+    problem = translate(net, fleet, aggregate=True)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    result = extract(problem, sol)
+    weights = net.snapshots.weights
+    merged = np.array(
+        [sol.x[problem.col_labels.index(f"disp::wind_n1@2012::{t}")] * weights[t] for t in range(len(weights))]
+    )
+    a, b = result.dispatch_mwh["wind_n1@2012"], result.dispatch_mwh["wind_n1@2017"]
+    assert np.allclose(a + b, merged)
+    assert np.allclose(a, merged * 0.4) and np.allclose(b, merged * 0.6)
+    assert result.instance_info["wind_n1@2012"]["capacity_base"] == pytest.approx(100.0)
+    assert result.instance_info["wind_n1@2017"]["capacity_base"] == pytest.approx(150.0)
+    assert result.instance_info["wind_n1@2017"]["build_year"] == 2017
+
+
+def test_extract_splits_flow_rows(doc8, base_scenario, monkeypatch):
+    # The criterion-10 pathway: the aggregated run's flow tables name every
+    # vintage, in the unaggregated run's order, with the same asset totals.
+    real = pathway_mod.extract
+    splits = []
+
+    def spy(problem, solution):
+        whole = dataclasses.replace(
+            problem, meta={**problem.meta, "instances": [{**r, "members": []} for r in problem.meta["instances"]]}
+        )
+        splits.append((problem, real(whole, solution), real(problem, solution)))
+        return splits[-1][2]
+
+    monkeypatch.setattr(pathway_mod, "extract", spy)
+    horizons = [2030, 2035, 2040, 2045, 2050]
+    plain = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=False)
+    splits.clear()
+    merged = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=True)
+    assert len(plain) == len(merged) == len(splits) == len(horizons)
+    assert any(len(whole.flow_rows) < len(split.flow_rows) for _, whole, split in splits)
+
+    def asset_sums(rows):
+        sums = {}
+        for carrier, bus, asset_id, _, annual in rows:
+            sums[carrier, bus, asset_id] = sums.get((carrier, bus, asset_id), 0.0) + annual
+        return sums
+
+    for a, b in zip(plain, merged):
+        rows_a, rows_b = a.dispatch.flow_rows, b.dispatch.flow_rows
+        assert [row[:4] for row in rows_b] == [row[:4] for row in rows_a]
+        sums_a, sums_b = asset_sums(rows_a), asset_sums(rows_b)
+        for key, value in sums_a.items():
+            assert sums_b[key] == pytest.approx(value, rel=1e-6, abs=1e-6), key
+        assert {row[3] for row in rows_b} >= set(b.dispatch.instance_info)
+
+    for problem, whole, split in splits:
+        annual = {row[:4]: row[4] for row in split.flow_rows}
+        members = {rec["iid"]: rec["members"] for rec in problem.meta["instances"]}
+        for carrier, bus, asset_id, iid, value in whole.flow_rows:
+            parts = [annual[carrier, bus, asset_id, f"{asset_id}@{year}"] for year, _ in members.get(iid, ())]
+            assert not parts or sum(parts) == pytest.approx(value, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: aggregation keys on raw params, so a document vintage without params "
+    "never merges with a carried vintage whose frozen params equal the asset's",
+)
+def test_aggregate_merges_equal_resolved_parameters(fixture_doc, base_scenario, monkeypatch):
+    problems = []
+    monkeypatch.setattr(pathway_mod, "translate", lambda *args: problems.append(translate(*args)) or problems[-1])
+    steps = run_optimal_pathway(reduce_document(fixture_doc, 4), [2030, 2035], base_scenario, aggregate=True)
+    assert [s.record.status for s in steps] == ["optimal"] * 2
+    assert steps[1].fleet.for_asset("solar_n3")[-1].build_year == 2030
+    records = fleet_records(problems[1], "solar_n3")
+    assert list(records) == ["solar_n3@2020"]
+    assert [year for year, _ in records["solar_n3@2020"]["members"]] == [2020, 2030]

@@ -16,13 +16,14 @@ is read and never written (no bytecode is cached).  The output is one JSON
 line:
 
 * ``matrix2-jobs2`` and ``mga8``, per seed: the sha256 of ``records.csv``
-  and one sha256 over the flow tables in file-name order (``null`` where a
-  workload writes none);
+  and one sha256 over the flow tables in file-name order; ``mga8`` is run as
+  the benchmark runs it but with ``flows=True``, since its carried fleets
+  merge the most vintages;
 * ``solve16``, per seed: one sha256 over each pair's scenario, horizon,
   status, iteration counts, inverses and the bytes of ``x + 0.0`` and
   ``y + 0.0`` (the addition maps -0.0 to +0.0);
-* ``full2`` with ``--full``: the sha256 of the full 2-snapshot matrix's
-  ``records.csv`` (216 scenarios, three slack levels, 2030-2050, two jobs).
+* ``full2`` with ``--full``: the same two hashes for the full 2-snapshot
+  matrix (216 scenarios, three slack levels, 2030-2050, two jobs, flows on).
 """
 
 from __future__ import annotations
@@ -83,17 +84,26 @@ def main(argv=None) -> int:
         for workload in ("matrix2-jobs2", "mga8", "solve16"):
             for seed in SEEDS:
                 store_dir = Path(tmp) / f"{workload}-{seed}"
-                result = workloads.run_pass(ck, inputs.setup(ck, workload, seed), store_dir)
+                inp = inputs.setup(ck, workload, seed)
                 key = f"{workload}/{seed}"
+                if workload == "mga8":
+                    ck.runner.run_matrix(
+                        inp.document, list(inp.scenarios), inp.epsilons, list(inputs.HORIZONS),
+                        jobs=1, out_dir=store_dir, flows=True,
+                    )
+                    out[key] = store_hashes(store_dir)
+                    continue
+                result = workloads.run_pass(ck, inp, store_dir)
                 out[key] = solve16_hash(result) if workload == "solve16" else store_hashes(store_dir)
         if args.full:
             document = ck.reduction.reduce_document(ck.fixture.fixture_document(), 2)
             scenarios = ck.scenarios.enumerate_scenarios(ck.scenarios.load_categories())
             store_dir = Path(tmp) / "full2"
             ck.runner.run_matrix(
-                document, scenarios, inputs.EPSILONS, list(inputs.HORIZONS), jobs=2, out_dir=store_dir
+                document, scenarios, inputs.EPSILONS, list(inputs.HORIZONS), jobs=2, out_dir=store_dir,
+                flows=True,
             )
-            out["full2"] = store_hashes(store_dir)["records"]
+            out["full2"] = store_hashes(store_dir)
     print(json.dumps(out, sort_keys=True))
     if args.compare is None:
         return 0
