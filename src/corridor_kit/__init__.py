@@ -38,7 +38,7 @@ from .network import (
     twh_to_mt,
     validate_network,
 )
-from .pathway import HorizonStep, PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
+from .pathway import HorizonStep, PathwayRecord, carry_over, phase_out, run_pathways
 from .reduction import Segmentation, reduce_document, segment
 from .runner import ResultsStore, RunManifest, run_matrix, run_scenario
 from .scenarios import (

@@ -15,8 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from .network import mt_to_twh
+from .scenarios import parse_scenario_id
 
 KG_PER_MWH = 30.0  # hydrogen mass per MWh at the lower heating value
+# The sensitivity regression pools this horizon and every later one, and the
+# subsidy is priced here unless another horizon is asked for.
+HEADLINE_HORIZON = 2040
+DEFAULT_QUANTILES = (0.7, 0.8, 0.9, 1.0)  # coverage levels of the corridor table
+CORRIDOR_HEADER = (
+    "horizon", "epsilon", "coverage", "piece", "lo_mt", "hi_mt", "lo_twh", "hi_twh",
+    "tapering_mt", "n_scenarios", "n_excluded",
+)
+SUBSIDY_HEADER = ("scenario_id", "rate_eur_per_kg", "volume_eur_per_year")
 
 
 @dataclass(frozen=True)
@@ -164,14 +174,6 @@ class CollinearDesignError(ValueError):
         super().__init__(f"design matrix is rank deficient; collinear categories: {self.names}")
 
 
-def _parse_scenario_id(scenario_id: str) -> dict[str, str]:
-    out = {}
-    for token in scenario_id.split("_"):
-        cat, lvl = token.rsplit("-", 1)
-        out[cat] = lvl
-    return out
-
-
 def sensitivity(
     records,
     categories,
@@ -206,7 +208,7 @@ def sensitivity(
     levels_seen: dict[str, set] = {name: set() for name in cat_by_name}
     parsed = []
     for sid, h2 in rows:
-        levels = _parse_scenario_id(sid)
+        levels = parse_scenario_id(sid)
         parsed.append((levels, h2))
         for name in cat_by_name:
             if name in levels:
@@ -315,22 +317,92 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_table(fh, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to the open text stream ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        write_table(fh, header, rows)
 
 
-def report(records, out_dir, categories=None, quantiles=(0.7, 0.8, 0.9, 1.0)) -> dict:
+def pooled_horizons(records) -> list[int]:
+    """The horizons the sensitivity regression pools: ``HEADLINE_HORIZON`` and later, else all."""
+    horizons = sorted({r.horizon for r in records})
+    return [h for h in horizons if h >= HEADLINE_HORIZON] or horizons
+
+
+def corridor_rows(records, epsilons, quantiles=DEFAULT_QUANTILES) -> list[list]:
+    """The rows of ``corridor.csv`` (columns ``CORRIDOR_HEADER``) at the given slack levels.
+
+    Per horizon and slack level, one row per piece of each coverage
+    quantile's corridor, with the tapering point when the full intersection
+    is empty; a quantile without pieces gets one row of blanks.  A (horizon,
+    slack) pair without a usable scenario interval has no rows.
+    """
+    rows = []
+    for horizon in sorted({r.horizon for r in records}):
+        for eps in epsilons:
+            ivs, excluded = intervals_from_records(records, horizon, eps)
+            if not ivs:
+                continue
+            plain = [si.interval for si in ivs]
+            taper = None if corridor(plain) is not None else tapering_point(plain)
+            for q in sorted(quantiles):
+                pieces = quantile_corridor(plain, q)
+                if not pieces:
+                    rows.append([horizon, eps, q, 0, None, None, None, None, taper, len(ivs), excluded])
+                for k, piece in enumerate(pieces):
+                    twh = (mt_to_twh(piece.lo), mt_to_twh(piece.hi))
+                    rows.append([horizon, eps, q, k, piece.lo, piece.hi, *twh, taper, len(ivs), excluded])
+    return rows
+
+
+def subsidy_rows(records, target_mt: float, horizon: int) -> tuple[list[tuple], int]:
+    """Each scenario's subsidy for ``target_mt`` at ``horizon``, and how many scenarios were skipped.
+
+    A scenario's ladder is its optimal record and its ``max`` record at every
+    slack level in ``records``.  It is skipped when one of them is missing or
+    failed, or when :func:`subsidy` cannot price the ladder (production falls
+    with slack, or a budget dual is not positive).  The rows (columns
+    ``SUBSIDY_HEADER``) are one per priced scenario in id order, then their
+    ``MEAN``; there are none when no scenario is priced.
+    """
+    eps_values = sorted({r.epsilon for r in records if r.epsilon is not None})
+    at_horizon = {}
+    for rec in records:
+        if rec.horizon == horizon:
+            at_horizon.setdefault((rec.scenario_id, rec.sense, rec.epsilon), rec)
+    rows, skipped = [], 0
+    for sid in sorted({r.scenario_id for r in records}):
+        optimal = at_horizon.get((sid, "optimal", None))
+        tops = [at_horizon.get((sid, "max", eps)) for eps in eps_values]
+        if any(rec is None or rec.status != "optimal" for rec in (optimal, *tops)):
+            skipped += 1
+            continue
+        ladder = [(0.0, optimal.h2_mt, None)] + [(rec.epsilon, rec.h2_mt, rec.mu_raw) for rec in tops]
+        try:
+            est = subsidy(target_mt, ladder)
+        except ValueError:
+            skipped += 1
+            continue
+        rows.append((sid, est.rate_eur_per_kg, est.volume_eur_per_year))
+    if rows:
+        rows.append(("MEAN", sum(r[1] for r in rows) / len(rows), sum(r[2] for r in rows) / len(rows)))
+    return rows, skipped
+
+
+def report(records, out_dir, categories=None, quantiles=DEFAULT_QUANTILES) -> dict:
     """Emit the analysis CSV bundle; returns {name: path}.
 
     ``pathway_ranges.csv``: distribution quantiles of production per
     (horizon, sense, epsilon) across scenarios, in Mt and TWh.
-    ``corridor.csv``: per (horizon, epsilon, coverage quantile) the robust
-    interval pieces, with the tapering point when the full intersection is
-    empty.  ``sensitivity.csv``: regression coefficients per sense (written
+    ``corridor.csv``: :func:`corridor_rows` at every slack level of the
+    records.  ``sensitivity.csv``: regression coefficients per sense (written
     only when categories are supplied and the fit is possible).
     """
     out_dir = Path(out_dir)
@@ -368,58 +440,13 @@ def report(records, out_dir, categories=None, quantiles=(0.7, 0.8, 0.9, 1.0)) ->
     _write_csv(path, header, rows)
     written["pathway_ranges"] = path
 
-    rows = []
-    for horizon in horizons:
-        for eps in eps_values:
-            ivs, excluded = intervals_from_records(records, horizon, eps)
-            if not ivs:
-                continue
-            plain = [si.interval for si in ivs]
-            full = corridor(plain)
-            taper = None if full is not None else tapering_point(plain)
-            for q in sorted(quantiles):
-                pieces = quantile_corridor(plain, q)
-                if not pieces:
-                    rows.append([horizon, eps, q, 0, None, None, None, None, taper, len(ivs), excluded])
-                for k, piece in enumerate(pieces):
-                    rows.append(
-                        [
-                            horizon,
-                            eps,
-                            q,
-                            k,
-                            piece.lo,
-                            piece.hi,
-                            mt_to_twh(piece.lo),
-                            mt_to_twh(piece.hi),
-                            taper,
-                            len(ivs),
-                            excluded,
-                        ]
-                    )
     path = out_dir / "corridor.csv"
-    _write_csv(
-        path,
-        [
-            "horizon",
-            "epsilon",
-            "coverage",
-            "piece",
-            "lo_mt",
-            "hi_mt",
-            "lo_twh",
-            "hi_twh",
-            "tapering_mt",
-            "n_scenarios",
-            "n_excluded",
-        ],
-        rows,
-    )
+    _write_csv(path, CORRIDOR_HEADER, corridor_rows(records, eps_values, quantiles))
     written["corridor"] = path
 
     if categories is not None:
         rows = []
-        pool = [h for h in horizons if h >= 2040] or horizons
+        pool = pooled_horizons(records)
         for sense, eps_opts in (("optimal", [None]), ("min", eps_values), ("max", eps_values)):
             for eps in eps_opts:
                 try:

@@ -1,5 +1,9 @@
 """Command-line entry point: reproducible runs and analysis over stored results.
 
+Each command parses its flags, loads what it needs, and prints or writes what
+:mod:`corridor_kit.runner` and :mod:`corridor_kit.analysis` produce; every
+table is computed there.
+
 Exit codes: 0 success, 1 user error (bad paths, bad flags, invalid model),
 2 internal error.  All configuration lives in flags or a manifest file; no
 environment variables are consulted (the manifest records the BLAS thread
@@ -13,8 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
-from .analysis import _write_csv, intervals_from_records, report, sensitivity, subsidy
+from . import __version__, analysis
 from .fixture import fixture_document
 from .network import ValidationError, build_network
 from .reduction import reduce_document
@@ -96,23 +99,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("corridor", help="robust corridor tables from a results store")
+    p = sub.add_parser("corridor", help="robust corridor table at one slack level from a results store")
     p.add_argument("--store", required=True)
     p.add_argument("--epsilon", type=float, default=0.10)
-    p.add_argument("--quantiles", default="0.7,0.8,0.9,1.0")
-    p.add_argument("--out", help="write corridor.csv here (default: print)")
+    p.add_argument("--quantiles", default=",".join(map(str, analysis.DEFAULT_QUANTILES)))
+    p.add_argument("--out", help="write corridor.csv into this directory (default: print)")
 
     p = sub.add_parser("sensitivity", help="setting-level regression over a results store")
     p.add_argument("--store", required=True)
     p.add_argument("--sense", default="optimal", choices=["optimal", "min", "max"])
     p.add_argument("--epsilon", type=float, help="slack level (required for min/max)")
     p.add_argument("--scenarios", help="scenarios JSON path (default: bundled definitions)")
-    p.add_argument("--horizons", help="comma list to pool (default: 2040 and later)")
+    p.add_argument("--horizons", help=f"comma list to pool (default: {analysis.HEADLINE_HORIZON} and later)")
 
     p = sub.add_parser("subsidy", help="subsidy rate required to reach a production target")
     p.add_argument("--store", required=True)
     p.add_argument("--target-mt", type=float, required=True)
-    p.add_argument("--horizon", type=int, default=2040)
+    p.add_argument("--horizon", type=int, default=analysis.HEADLINE_HORIZON)
     p.add_argument("--out", help="write subsidy.csv here (default: print)")
 
     p = sub.add_parser("report", help="emit the full CSV bundle from a results store")
@@ -125,50 +128,41 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.manifest:
         manifest = _load_manifest(args.manifest)
-        out = manifest.out
-        model_path, scenarios_path = manifest.model, manifest.scenarios
-        epsilons, horizons = list(manifest.epsilons), list(manifest.horizons)
-        jobs, segments, flows = manifest.jobs, manifest.segments, manifest.flows
+    elif not args.model or not args.out:
+        raise UserError("run needs --model and --out (or --manifest)")
     else:
-        if not args.model or not args.out:
-            raise UserError("run needs --model and --out (or --manifest)")
-        out = args.out
-        model_path = args.model
-        scenarios_path = args.scenarios or "<bundled>"
-        epsilons = _parse_floats(args.epsilon)
-        horizons = _parse_horizons(args.horizons)
-        jobs, segments, flows = args.jobs, args.segments, args.flows
         manifest = RunManifest(
-            model=model_path,
-            scenarios=scenarios_path,
-            epsilons=tuple(epsilons),
-            horizons=tuple(horizons),
-            jobs=jobs,
-            out=str(out),
-            segments=segments,
-            flows=flows,
+            model=args.model,
+            scenarios=args.scenarios or "<bundled>",
+            epsilons=tuple(_parse_floats(args.epsilon)),
+            horizons=tuple(_parse_horizons(args.horizons)),
+            jobs=args.jobs,
+            out=str(args.out),
+            segments=args.segments,
+            flows=args.flows,
         )
+    epsilons, horizons = list(manifest.epsilons), list(manifest.horizons)
     if not all(eps >= 0 for eps in epsilons):
         raise UserError(f"slack levels must be >= 0, got {epsilons}")
     if any(later <= earlier for earlier, later in zip(horizons, horizons[1:])):
         raise UserError(f"horizons must be strictly increasing, got {horizons}")
-    document = _load_model(model_path)
-    if segments is not None:
-        document = _reduce(document, segments)
-    categories = load_categories(None if scenarios_path in ("<bundled>", None) else scenarios_path)
+    document = _load_model(manifest.model)
+    if manifest.segments is not None:
+        document = _reduce(document, manifest.segments)
+    categories = load_categories(None if manifest.scenarios in ("<bundled>", None) else manifest.scenarios)
     scenarios = enumerate_scenarios(categories)
     records, _ = run_matrix(
         document,
         scenarios,
         epsilons,
         horizons,
-        jobs=jobs,
-        out_dir=out,
-        flows=flows,
+        jobs=manifest.jobs,
+        out_dir=manifest.out,
+        flows=manifest.flows,
         manifest=manifest,
     )
     failed = sum(1 for r in records if r.status != "optimal")
-    print(f"{len(records)} records ({failed} failed) over {len(scenarios)} scenarios -> {out}")
+    print(f"{len(records)} records ({failed} failed) over {len(scenarios)} scenarios -> {manifest.out}")
     return 0
 
 
@@ -193,49 +187,26 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_corridor(args) -> int:
-    store = ResultsStore(args.store)
-    records = store.read_records()
-    quantiles = _parse_floats(args.quantiles)
-    if args.out:
-        report(records, args.out, quantiles=quantiles)
-        print(f"wrote corridor tables to {args.out}")
+    records = ResultsStore(args.store).read_records()
+    rows = analysis.corridor_rows(records, [args.epsilon], _parse_floats(args.quantiles))
+    if not args.out:
+        analysis.write_table(sys.stdout, analysis.CORRIDOR_HEADER, rows)
         return 0
-    from .analysis import corridor as corridor_op, quantile_corridor, tapering_point
-
-    horizons = sorted({r.horizon for r in records})
-    for horizon in horizons:
-        ivs, excluded = intervals_from_records(records, horizon, args.epsilon)
-        if not ivs:
-            print(f"{horizon}: no usable scenario intervals (excluded {excluded})")
-            continue
-        plain = [si.interval for si in ivs]
-        full = corridor_op(plain)
-        if full is None:
-            print(f"{horizon}: empty intersection, tapering point {tapering_point(plain):.3f} Mt", end="")
-        else:
-            print(f"{horizon}: robust [{full.lo:.3f}, {full.hi:.3f}] Mt", end="")
-        for q in quantiles:
-            if q >= 1.0:
-                continue
-            pieces = quantile_corridor(plain, q)
-            txt = " u ".join(f"[{p.lo:.3f}, {p.hi:.3f}]" for p in pieces)
-            print(f"  q{q:g}: {txt}", end="")
-        print(f"  ({len(ivs)} scenarios, {excluded} excluded)")
+    path = Path(args.out) / "corridor.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    analysis._write_csv(path, analysis.CORRIDOR_HEADER, rows)
+    print(f"wrote {path}")
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    store = ResultsStore(args.store)
-    records = store.read_records()
+    records = ResultsStore(args.store).read_records()
     categories = load_categories(args.scenarios)
-    horizons = _parse_horizons(args.horizons) if args.horizons else None
-    if horizons is None:
-        pool = sorted({r.horizon for r in records if r.horizon >= 2040})
-        horizons = pool or None
+    horizons = _parse_horizons(args.horizons) if args.horizons else analysis.pooled_horizons(records)
     epsilon = args.epsilon
     if args.sense != "optimal" and epsilon is None:
         raise UserError("min/max sensitivity needs --epsilon")
-    res = sensitivity(records, categories, sense=args.sense, epsilon=epsilon, horizons=horizons)
+    res = analysis.sensitivity(records, categories, sense=args.sense, epsilon=epsilon, horizons=horizons)
     print(f"sense={args.sense} epsilon={epsilon} n={res.n_points} dropped={res.n_dropped}")
     for name in res.categories:
         print(f"  {name:14s} {res.coefficients[name]:+9.3f} Mt")
@@ -245,66 +216,26 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_subsidy(args) -> int:
-    store = ResultsStore(args.store)
-    records = store.read_records()
-    scenarios = sorted({r.scenario_id for r in records})
-    eps_values = sorted({r.epsilon for r in records if r.epsilon is not None})
-    rows = []
-    skipped = 0
-    for sid in scenarios:
-        opt = [
-            r
-            for r in records
-            if r.scenario_id == sid and r.horizon == args.horizon and r.sense == "optimal"
-        ]
-        if not opt or opt[0].status != "optimal":
-            skipped += 1
-            continue
-        ladder = [(0.0, opt[0].h2_mt, None)]
-        complete = True
-        for eps in eps_values:
-            hits = [
-                r
-                for r in records
-                if r.scenario_id == sid
-                and r.horizon == args.horizon
-                and r.sense == "max"
-                and r.epsilon == eps
-            ]
-            if not hits or hits[0].status != "optimal":
-                complete = False
-                break
-            ladder.append((eps, hits[0].h2_mt, hits[0].mu_raw))
-        if not complete:
-            skipped += 1
-            continue
-        try:
-            est = subsidy(args.target_mt, ladder)
-        except ValueError:
-            skipped += 1
-            continue
-        rows.append((sid, est.rate_eur_per_kg, est.volume_eur_per_year))
+    records = ResultsStore(args.store).read_records()
+    rows, skipped = analysis.subsidy_rows(records, args.target_mt, args.horizon)
     if not rows:
         raise UserError("no scenario has a complete maximization ladder at this horizon")
-    mean_rate = sum(r[1] for r in rows) / len(rows)
-    mean_volume = sum(r[2] for r in rows) / len(rows)
     if args.out:
-        header = ["scenario_id", "rate_eur_per_kg", "volume_eur_per_year"]
-        _write_csv(args.out, header, [*rows, ("MEAN", mean_rate, mean_volume)])
+        analysis._write_csv(args.out, analysis.SUBSIDY_HEADER, rows)
         print(f"wrote {args.out}")
+    _, mean_rate, mean_volume = rows[-1]
     print(
         f"target {args.target_mt} Mt at {args.horizon}: mean subsidy "
         f"{mean_rate:.3f} EUR/kg, mean volume {mean_volume/1e9:.2f} bn EUR/a "
-        f"({len(rows)} scenarios, {skipped} skipped)"
+        f"({len(rows) - 1} scenarios, {skipped} skipped)"
     )
     return 0
 
 
 def _cmd_report(args) -> int:
-    store = ResultsStore(args.store)
-    records = store.read_records()
+    records = ResultsStore(args.store).read_records()
     categories = load_categories(args.scenarios)
-    written = report(records, args.out, categories=categories)
+    written = analysis.report(records, args.out, categories=categories)
     for name, path in sorted(written.items()):
         print(f"{name}: {path}")
     return 0

@@ -40,11 +40,6 @@ class LpProblem:
     def m(self) -> int:
         return int(self.b.size)
 
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.m, self.n))
-        np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
-        return a
-
     def aux_value(self, name: str, x: np.ndarray) -> float:
         vec = self.aux[name]
         return float(sum(coeff * x[j] for j, coeff in sorted(vec.items())))
@@ -148,7 +143,7 @@ def write_lp_file(problem: LpProblem, path) -> None:
     """
     keys, at = np.unique(problem.a_rows * problem.n + problem.a_cols, return_inverse=True)
     sums = np.zeros(keys.size)
-    np.add.at(sums, at, problem.a_vals)  # in triplet order, as dense() sums them
+    np.add.at(sums, at, problem.a_vals)  # duplicates summed in triplet order
     nonzero = sums != 0
     row_of, col_of = np.divmod(keys[nonzero], max(problem.n, 1))
     sums = sums[nonzero]

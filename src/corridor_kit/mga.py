@@ -52,7 +52,8 @@ def add_cost_budget(problem: LpProblem, c_star: float, epsilon: float) -> LpProb
     """Attach the cost-budget row and swap the objective for the target.
 
     The budget row holds the problem's own cost vector; the target is its
-    electrolysis output.
+    electrolysis output.  ``meta`` records the row's ``budget_rhs`` and the
+    ``epsilon`` it was built with.
     """
     if c_star is None:
         raise ValueError("c_star missing: run the cost-optimal pathway first")
@@ -64,7 +65,7 @@ def add_cost_budget(problem: LpProblem, c_star: float, epsilon: float) -> LpProb
     coeffs = {int(j): float(problem.c[j]) for j in np.nonzero(problem.c)[0]}
     rhs = (1.0 + epsilon) * c_star
     out = problem.with_row(BUDGET_LABEL, coeffs, "le", rhs, objective=objective)
-    out.meta["budget_rhs"] = rhs
+    out.meta.update(budget_rhs=rhs, epsilon=epsilon)
     return out
 
 
@@ -103,7 +104,8 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     target pinned at its extremal value is a deterministic tie-break that
     leaves the recorded extremal value untouched.  ``cost`` is the cost
     vector that the budget row holds.  If the cleanup solve is not optimal,
-    the extremization's own solution is kept and a warning says so.
+    the extremization's own solution is kept and a warning names the LP, its
+    scenario, the sense, the slack level and the status.
     """
     h_star = float(budgeted.c @ solution.x)
     slack = 1e-9 * abs(h_star) + 1e-2
@@ -114,8 +116,9 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     refined = solve(cleanup)
     if refined.status != "optimal":
         logger.warning(
-            "%s: %s cleanup solve ended %s; keeping the extremal solution as found",
-            budgeted.meta.get("name"), sense, refined.status,
+            "%s (scenario %s): %s cleanup solve at epsilon %s ended %s; keeping the extremal solution as found",
+            budgeted.meta.get("name"), budgeted.meta.get("scenario"), sense, budgeted.meta.get("epsilon"),
+            refined.status,
         )
         return solution
     return refined

@@ -100,20 +100,6 @@ def carry_over(
     return phase_out(previous_fleet.extended(entries), horizon)
 
 
-def run_optimal_pathway(
-    document: dict,
-    horizons: list[int],
-    scenario: Scenario,
-    aggregate: bool = False,
-) -> list[HorizonStep]:
-    """Cost-optimal sequence over the horizons with capacity carry-over.
-
-    An infeasible (or otherwise failed) horizon is recorded and aborts the
-    pathway; earlier steps are retained.
-    """
-    return list(run_pathways(document, horizons, scenario, (), aggregate))
-
-
 def run_pathways(
     document: dict,
     horizons: list[int],

@@ -78,6 +78,11 @@ class Scenario:
         raise KeyError(category)
 
 
+def parse_scenario_id(scenario_id: str) -> dict[str, str]:
+    """The ``{category: level}`` that :attr:`Scenario.id` joined into ``scenario_id``."""
+    return dict(token.rsplit("-", 1) for token in scenario_id.split("_"))
+
+
 def load_categories(path=None) -> tuple[SettingCategory, ...]:
     """Load setting categories from a scenarios.json file (bundled by default)."""
     if path is None:
@@ -157,14 +162,15 @@ def _require_tagged(network: Network, tag: str, what: str):
 def apply_scenario(template: Network, scenario: Scenario, horizon: int) -> Network:
     """Produce the network for one (scenario, horizon) from a horizon template.
 
-    Only parameters owned by the scenario's categories are touched; the
-    template must already be built at the requested horizon.
+    Only parameters owned by the scenario's categories are touched, and the
+    scenario's id is recorded as ``meta["scenario"]``; the template must
+    already be built at the requested horizon.
     """
     if template.horizon != horizon:
         raise ValueError(
             f"template built for horizon {template.horizon}, scenario applied at {horizon}"
         )
-    net = template
+    net = replace(template, meta={**template.meta, "scenario": scenario.id})
     new_assets: dict = {}
 
     payload = scenario.payloads.get("ccs", {})

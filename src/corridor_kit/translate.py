@@ -316,6 +316,7 @@ def translate(network: Network, fleet: Fleet | None = None, aggregate: bool = Fa
     meta = {
         "name": f"{network.meta.get('name', 'network')}@{network.horizon}",
         "horizon": network.horizon,
+        "scenario": network.meta.get("scenario"),
         "network": network,
         "instances": [
             {

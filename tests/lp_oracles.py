@@ -40,6 +40,13 @@ def columns_of(a: np.ndarray) -> _Columns:
     return _Columns(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
 
+def dense(problem: LpProblem) -> np.ndarray:
+    """The m x n constraint matrix, duplicate triplets summed in triplet order."""
+    a = np.zeros((problem.m, problem.n))
+    np.add.at(a, (problem.a_rows, problem.a_cols), problem.a_vals)
+    return a
+
+
 def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
     """Brute-force LP optimum by enumerating candidate vertices.
 
@@ -49,7 +56,7 @@ def enumerate_vertices_minimum(problem: LpProblem) -> tuple[str, float | None]:
     a handful of variables; intended as an oracle, not a solver.
     """
     n, m = problem.n, problem.m
-    a = problem.dense()
+    a = dense(problem)
     facets_a: list[np.ndarray] = [a[i] for i in range(m)]
     facets_b: list[float] = [float(problem.b[i]) for i in range(m)]
     for j in range(n):
@@ -212,7 +219,7 @@ def artificial_heavy_problem(rng: np.random.Generator, n_vars: int, n_rows: int,
 def loop_verify_kkt(problem: LpProblem, solution) -> ResidualReport:
     """Row-by-row KKT residuals over the dense matrix: the oracle for ``verify_kkt``."""
     x, y = solution.x, solution.y
-    a = problem.dense()
+    a = dense(problem)
     ax = a @ x if problem.m else np.zeros(0)
     activity = np.abs(a) @ np.abs(x) if problem.m else np.zeros(0)
     xscale = float(np.max(np.abs(x))) if x.size else 0.0
@@ -288,7 +295,7 @@ class LoopStandardizer:
 
     def __init__(self, problem: LpProblem):
         n, m = problem.n, problem.m
-        a = problem.dense()
+        a = dense(problem)
 
         self.shift = np.where(np.isfinite(problem.lb), problem.lb, 0.0)
         self.split = [j for j in range(n) if not np.isfinite(problem.lb[j])]
@@ -346,8 +353,8 @@ class LoopStandardizer:
 
 
 def dense_write_lp_file(problem: LpProblem, path) -> None:
-    """LP file written row by row from ``LpProblem.dense()``: the oracle for ``write_lp_file``."""
-    a = problem.dense()
+    """LP file written row by row from :func:`dense`: the oracle for ``write_lp_file``."""
+    a = dense(problem)
     lines = ["\\ " + problem.meta.get("name", "problem")]
     for j, label in enumerate(problem.col_labels):
         lines.append(f"\\ x{j} = {label}")

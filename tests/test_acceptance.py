@@ -13,13 +13,13 @@ from corridor_kit.analysis import Interval, quantile_corridor, subsidy, sensitiv
 from corridor_kit.fleet import fleet_from_document
 from corridor_kit.mga import SlackSpec, add_cost_budget, extremize
 from corridor_kit.network import build_network
-from corridor_kit.pathway import PathwayRecord, run_optimal_pathway, run_pathways
+from corridor_kit.pathway import PathwayRecord, run_pathways
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import SolverOptions, solve, verify_kkt
 from corridor_kit.translate import translate
 
-from lp_oracles import enumerate_vertices_minimum, random_problem
+from lp_oracles import dense, enumerate_vertices_minimum, random_problem
 
 HORIZONS = [2030, 2035, 2040, 2045, 2050]
 
@@ -169,7 +169,7 @@ def test_criterion_05_dual_finite_difference(doc8, scenario_index):
                 continue
             rhs = budgeted.meta["budget_rhs"]
             row = budgeted.row_labels.index("budget")
-            activity = float(budgeted.dense()[row] @ sol.x)
+            activity = float(dense(budgeted)[row] @ sol.x)
             if abs(activity - rhs) > 1e-6 * rhs:
                 continue  # budget not binding
             delta = rel_delta * base.objective
@@ -313,8 +313,8 @@ def test_criterion_09_directional_import_dependence(mini_matrix):
 
 
 def test_criterion_10_aggregation_equivalence(doc8, base_scenario):
-    plain = run_optimal_pathway(doc8, HORIZONS, base_scenario, aggregate=False)
-    merged = run_optimal_pathway(doc8, HORIZONS, base_scenario, aggregate=True)
+    plain = list(run_pathways(doc8, HORIZONS, base_scenario, aggregate=False))
+    merged = list(run_pathways(doc8, HORIZONS, base_scenario, aggregate=True))
     assert len(plain) == len(merged) == len(HORIZONS)
     worst_cost = worst_h = 0.0
     for a, b in zip(plain, merged):

@@ -9,6 +9,7 @@ from corridor_kit.analysis import (
     report,
     sensitivity,
     subsidy,
+    subsidy_rows,
     tapering_point,
 )
 from corridor_kit.pathway import PathwayRecord
@@ -243,6 +244,46 @@ def test_subsidy_non_monotone_ladder_rejected():
 def test_subsidy_requires_zero_rung():
     with pytest.raises(ValueError):
         subsidy(10.0, [(0.05, 20.0, 0.1)])
+
+
+def ladder_records(sid, tops, optimal_status="optimal", horizon=2040):
+    """One scenario's optimal record (5 Mt) and its ``max`` records, ``tops`` = [(eps, h2_mt, mu_raw)]."""
+    values = (1.0, 5.0) if optimal_status == "optimal" else (None, None)
+    out = [PathwayRecord(sid, horizon, "optimal", None, optimal_status, *values)]
+    out += [PathwayRecord(sid, horizon, "max", eps, "optimal", 1.1, h2, mu) for eps, h2, mu in tops]
+    return out
+
+
+GOOD_TOPS = [(0.05, 20.0, 1.0 / (0.2 * 30.0)), (0.10, 30.0, 1.0 / (0.8 * 30.0))]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        dict(tops=GOOD_TOPS[:1]),  # no max record at the top slack level
+        dict(tops=GOOD_TOPS, optimal_status="infeasible"),
+        dict(tops=[GOOD_TOPS[0], (0.10, 15.0, GOOD_TOPS[1][2])]),  # production falls with slack
+        dict(tops=[GOOD_TOPS[0], (0.10, 30.0, 0.0)]),  # the budget dual prices nothing
+    ],
+    ids=["missing-max-rung", "failed-optimal", "non-monotone", "non-positive-dual"],
+)
+def test_subsidy_rows_skip_a_defective_ladder(defect):
+    records = ladder_records("good", GOOD_TOPS) + ladder_records("bad", **defect)
+    records += ladder_records("bad", GOOD_TOPS, horizon=2050)  # another horizon does not fill the gap
+    rows, skipped = subsidy_rows(records, 25.0, 2040)
+    assert skipped == 1
+    priced = (pytest.approx(0.5), pytest.approx(0.5 * 25.0 * 1e9))
+    assert rows == [("good", *priced), ("MEAN", *priced)]
+
+
+def test_subsidy_rows_mean_over_priced_scenarios():
+    faster = [(0.05, 20.0, 1.0 / (0.4 * 30.0)), (0.10, 30.0, 1.0 / (1.0 * 30.0))]
+    records = ladder_records("a", GOOD_TOPS) + ladder_records("b", faster)
+    rows, skipped = subsidy_rows(records, 25.0, 2040)
+    assert skipped == 0
+    assert [row[0] for row in rows] == ["a", "b", "MEAN"]
+    assert rows[-1][1] == pytest.approx((0.5 + 0.7) / 2)
+    assert subsidy_rows(records, 25.0, 2035) == ([], 2)
 
 
 def sample_records():

@@ -6,7 +6,7 @@ import corridor_kit.pathway as pathway_mod
 from corridor_kit.fleet import Fleet, FleetEntry
 from corridor_kit.lp import LpBuilder
 from corridor_kit.mga import PIN_LABEL, SlackSpec, add_cost_budget, budgeted_step, extremize
-from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_optimal_pathway, run_pathways
+from corridor_kit.pathway import PathwayRecord, carry_over, phase_out, run_pathways
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.network import build_network
 from corridor_kit.reduction import reduce_document
@@ -100,7 +100,7 @@ def test_record_invariants():
 
 
 def test_single_horizon_equals_plain_optimization(doc8, base_scenario):
-    steps = run_optimal_pathway(doc8, [2030], base_scenario)
+    steps = list(run_pathways(doc8, [2030], base_scenario))
     net = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
     from corridor_kit.fleet import fleet_from_document
 
@@ -111,12 +111,12 @@ def test_single_horizon_equals_plain_optimization(doc8, base_scenario):
 
 def test_horizons_must_increase(doc8, base_scenario):
     with pytest.raises(ValueError):
-        run_optimal_pathway(doc8, [2040, 2030], base_scenario)
+        list(run_pathways(doc8, [2040, 2030], base_scenario))
 
 
 @pytest.fixture(scope="module")
 def base_pathway(doc8, base_scenario):
-    return run_optimal_pathway(doc8, [2030, 2035, 2040, 2045, 2050], base_scenario)
+    return list(run_pathways(doc8, [2030, 2035, 2040, 2045, 2050], base_scenario))
 
 
 def test_fixture_pathway_all_optimal(base_pathway):
@@ -141,16 +141,16 @@ def test_monotone_commitment(base_pathway):
 def test_relaxing_global_limit_never_raises_cost(doc8, scenario_index):
     sid_low = "ccs-a_biomass-b_imports-a_electrolyser-b_transport-b_weather-a"
     sid_high = "ccs-c_biomass-b_imports-a_electrolyser-b_transport-b_weather-a"
-    low = run_optimal_pathway(doc8, [2040], scenario_index[sid_low])
-    high = run_optimal_pathway(doc8, [2040], scenario_index[sid_high])
+    low = list(run_pathways(doc8, [2040], scenario_index[sid_low]))
+    high = list(run_pathways(doc8, [2040], scenario_index[sid_high]))
     # Level (c) relaxes the sequestration cap and cheapens capture capital;
     # the optimum cannot get more expensive.
     assert high[0].record.cost_eur <= low[0].record.cost_eur * (1 + 1e-9)
 
 
 def test_pathway_records_bit_identical(doc8, base_scenario):
-    a = run_optimal_pathway(doc8, [2030, 2035], base_scenario)
-    b = run_optimal_pathway(doc8, [2030, 2035], base_scenario)
+    a = list(run_pathways(doc8, [2030, 2035], base_scenario))
+    b = list(run_pathways(doc8, [2030, 2035], base_scenario))
     for sa, sb in zip(a, b):
         assert sa.record == sb.record
 
@@ -160,7 +160,7 @@ def test_infeasible_horizon_aborts_chain(doc8, base_scenario):
     for lim in doc["limits"]:
         if lim["kind"] == "net_emission_cap":
             lim["fraction"] = {"2030": -0.5}  # impossible negative cap
-    steps = run_optimal_pathway(doc, [2030, 2035], base_scenario)
+    steps = list(run_pathways(doc, [2030, 2035], base_scenario))
     assert steps[0].record.status == "infeasible"
     assert len(steps) == 1
 
@@ -299,6 +299,25 @@ def test_failed_cleanup_keeps_the_extremum_and_warns(monkeypatch, caplog):
     assert mu == pytest.approx(1.0, abs=1e-9)
     [message] = [r.getMessage() for r in caplog.records if r.name == "corridor_kit.mga"]
     assert "tiny@2030" in message and "max" in message and "numerical_failure" in message
+
+
+def test_failed_cleanup_warning_names_scenario_and_slack(fixture_doc, base_scenario, monkeypatch, caplog):
+    real_solve = mga_mod.solve
+
+    def fail_pin(problem):
+        if problem.row_labels[-1] == PIN_LABEL:
+            return LpSolution(status="numerical_failure")
+        return real_solve(problem)
+
+    monkeypatch.setattr(mga_mod, "solve", fail_pin)
+    doc = reduce_document(fixture_doc, 2)
+    with caplog.at_level("WARNING", logger="corridor_kit.mga"):
+        steps = list(run_pathways(doc, [2030, 2035], base_scenario, [SlackSpec(0.05, "max")]))
+    assert [s.record.status for s in steps] == ["optimal"] * 4
+    # The cleanup runs only where a later horizon inherits the fleet.
+    [message] = [r.getMessage() for r in caplog.records if r.name == "corridor_kit.mga"]
+    assert base_scenario.id in message and "@2030" in message
+    assert "max" in message and "epsilon 0.05" in message and "numerical_failure" in message
 
 
 def test_extremize_needs_budget_row():

@@ -233,6 +233,31 @@ def test_cli_full_pipeline(tmp_path, doc8, capsys):
     assert (tmp_path / "bundle" / "pathway_ranges.csv").exists()
 
 
+def test_cli_corridor_keeps_to_its_epsilon(tmp_path, capsys):
+    records = []
+    for k, sid in enumerate(("s1", "s2", "s3")):
+        for horizon in (2030, 2040):
+            records.append(PathwayRecord(sid, horizon, "optimal", None, "optimal", 1.0, 3.0 + k))
+            for eps in (0.02, 0.05, 0.10):
+                records.append(PathwayRecord(sid, horizon, "min", eps, "optimal", 1.0, 2.0 + k - 10 * eps, -0.1))
+                records.append(PathwayRecord(sid, horizon, "max", eps, "optimal", 1.0, 4.0 + 2 * k + 10 * eps, 0.1))
+    ResultsStore(tmp_path / "store").write_records(records)
+    store = str(tmp_path / "store")
+    assert main(["report", "--store", store, "--out", str(tmp_path / "bundle")]) == 0
+
+    assert main(["corridor", "--store", store, "--epsilon", "0.05", "--out", str(tmp_path / "d")]) == 0
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["corridor.csv"]
+    written = (tmp_path / "d" / "corridor.csv").read_bytes().decode()
+    header, *rows = (tmp_path / "bundle" / "corridor.csv").read_bytes().decode().splitlines(keepends=True)
+    picked = [row for row in rows if row.split(",")[1] == "0.05"]
+    assert picked and len(picked) < len(rows)
+    assert written == "".join([header, *picked])
+
+    capsys.readouterr()
+    assert main(["corridor", "--store", store, "--epsilon", "0.05"]) == 0
+    assert capsys.readouterr().out == written
+
+
 def test_cli_manifest_reproduces_store(tmp_path, doc8):
     model, scen = write_tiny_inputs(tmp_path, doc8)
     first = tmp_path / "first"

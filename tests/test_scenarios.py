@@ -8,6 +8,7 @@ from corridor_kit.scenarios import (
     SettingCategory,
     apply_scenario,
     enumerate_scenarios,
+    parse_scenario_id,
     shift_transport,
     subset_categories,
 )
@@ -26,6 +27,13 @@ def test_enumerate_full_matrix(categories):
     scenarios = enumerate_scenarios(categories)
     assert len(scenarios) == 216
     assert len({s.id for s in scenarios}) == 216
+
+
+def test_parse_scenario_id_inverts_id(categories):
+    scenarios = enumerate_scenarios(categories)
+    assert len(scenarios) == 216
+    for scenario in scenarios:
+        assert parse_scenario_id(scenario.id) == dict(scenario.levels)
 
 
 def test_enumerate_two_by_two():

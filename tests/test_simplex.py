@@ -17,6 +17,7 @@ from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
 from corridor_kit.translate import translate
 
+import lp_oracles
 from lp_oracles import (
     BroadcastSimplexCore,
     artificial_heavy_problem,
@@ -241,10 +242,12 @@ def test_solve_never_assembles_the_dense_matrix(doc8, base_scenario, monkeypatch
     network = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
     problem = translate(network, phase_out(fleet_from_document(doc8), 2030))
 
-    def no_dense(self):
-        raise AssertionError("LpProblem.dense() called on the solve path")
+    def no_dense(problem):
+        raise AssertionError("the dense matrix was assembled on the solve path")
 
-    monkeypatch.setattr(LpProblem, "dense", no_dense)
+    # Only the test oracles assemble the m x n matrix; the program has no way to.
+    assert not hasattr(LpProblem, "dense")
+    monkeypatch.setattr(lp_oracles, "dense", no_dense)
     sol = solve(problem)
     assert sol.status == "optimal"
     budgeted = add_cost_budget(problem, sol.objective, 0.05)

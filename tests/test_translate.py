@@ -8,13 +8,13 @@ from corridor_kit.fleet import Fleet, FleetEntry, fleet_from_document
 from corridor_kit.lp import LpBuilder, write_lp_file
 from corridor_kit.mga import add_cost_budget
 from corridor_kit.network import build_network, mt_to_twh
-from corridor_kit.pathway import run_optimal_pathway
+from corridor_kit.pathway import run_pathways
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import solve
 from corridor_kit.translate import StructuralError, extract, translate
 
-from lp_oracles import dense_write_lp_file
+from lp_oracles import dense, dense_write_lp_file
 
 
 def tiny_doc():
@@ -136,7 +136,7 @@ def test_vintages_of_one_build_year_share_one_instance(fixture_doc, scenario_ind
     problems = []
     monkeypatch.setattr(pathway_mod, "translate", lambda *args: problems.append(translate(*args)) or problems[-1])
     scenario = scenario_index["ccs-a_biomass-a_imports-a_electrolyser-a_transport-a_weather-a"]
-    steps = run_optimal_pathway(doc, [2030, 2035, 2040], scenario, aggregate=True)
+    steps = list(run_pathways(doc, [2030, 2035, 2040], scenario, aggregate=True))
     assert [s.record.status for s in steps] == ["optimal"] * 3
     for problem in problems:
         assert len(set(problem.col_labels)) == len(problem.col_labels)
@@ -241,7 +241,7 @@ def test_objective_recomputed_matches(solved_fixture):
 def test_atmosphere_row_is_literal_residual(solved_fixture):
     net, prob, sol, result = solved_fixture
     row = prob.row_labels.index("glb::co2_cap")
-    a = prob.dense()
+    a = dense(prob)
     weights = net.snapshots.weights
     load_const = sum(
         net.bus_carrier(next(iter(asset.buses))).co2_intensity * float(asset.demand @ weights)
@@ -412,9 +412,9 @@ def test_extract_splits_flow_rows(doc8, base_scenario, monkeypatch):
 
     monkeypatch.setattr(pathway_mod, "extract", spy)
     horizons = [2030, 2035, 2040, 2045, 2050]
-    plain = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=False)
+    plain = list(run_pathways(doc8, horizons, base_scenario, aggregate=False))
     splits.clear()
-    merged = run_optimal_pathway(doc8, horizons, base_scenario, aggregate=True)
+    merged = list(run_pathways(doc8, horizons, base_scenario, aggregate=True))
     assert len(plain) == len(merged) == len(splits) == len(horizons)
     assert any(len(whole.flow_rows) < len(split.flow_rows) for _, whole, split in splits)
 
@@ -448,7 +448,7 @@ def test_extract_splits_flow_rows(doc8, base_scenario, monkeypatch):
 def test_aggregate_merges_equal_resolved_parameters(fixture_doc, base_scenario, monkeypatch):
     problems = []
     monkeypatch.setattr(pathway_mod, "translate", lambda *args: problems.append(translate(*args)) or problems[-1])
-    steps = run_optimal_pathway(reduce_document(fixture_doc, 4), [2030, 2035], base_scenario, aggregate=True)
+    steps = list(run_pathways(reduce_document(fixture_doc, 4), [2030, 2035], base_scenario, aggregate=True))
     assert [s.record.status for s in steps] == ["optimal"] * 2
     assert steps[1].fleet.for_asset("solar_n3")[-1].build_year == 2030
     records = fleet_records(problems[1], "solar_n3")

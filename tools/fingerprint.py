@@ -19,6 +19,10 @@ line:
   and one sha256 over the flow tables in file-name order; ``mga8`` is run as
   the benchmark runs it but with ``flows=True``, since its carried fleets
   merge the most vintages;
+* ``matrix2-jobs2/<seed>/analysis``: what the command line writes from that
+  store, one sha256 over ``report``'s bundle (bundled categories) in file-name
+  order and one of the ``subsidy --target-mt 5 --horizon 2040`` CSV (``null``
+  when no scenario has a complete ladder);
 * ``solve16``, per seed: one sha256 over each pair's scenario, horizon,
   status, iteration counts, inverses and the bytes of ``x + 0.0`` and
   ``y + 0.0`` (the addition maps -0.0 to +0.0);
@@ -29,7 +33,10 @@ line:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import sys
 import tempfile
@@ -42,6 +49,7 @@ import env  # noqa: E402
 
 env.pin_blas()
 ck = env.import_program()
+cli = importlib.import_module("corridor_kit.cli")
 
 import inputs  # noqa: E402
 import workloads  # noqa: E402
@@ -53,14 +61,31 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _files_sha(paths) -> str | None:
+    """One sha256 over each file's name and bytes, in the given order; None for no files."""
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest() if paths else None
+
+
 def store_hashes(store_dir: Path) -> dict:
-    flows = sorted((store_dir / "flows").glob("*.csv"))
-    flow_hash = hashlib.sha256()
-    for path in flows:
-        flow_hash.update(path.name.encode() + b"\0" + path.read_bytes())
     return {
         "records": _sha((store_dir / "records.csv").read_bytes()),
-        "flows": flow_hash.hexdigest() if flows else None,
+        "flows": _files_sha(sorted((store_dir / "flows").glob("*.csv"))),
+    }
+
+
+def analysis_hashes(store_dir: Path) -> dict:
+    report_dir, subsidy_csv = store_dir / "cli-report", store_dir / "subsidy.csv"
+    subsidy = ["subsidy", "--store", str(store_dir), "--target-mt", "5", "--horizon", "2040", "--out", str(subsidy_csv)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["report", "--store", str(store_dir), "--out", str(report_dir)]) != 0:
+            raise RuntimeError(f"report failed on {store_dir}")
+        cli.main(subsidy)
+    return {
+        "report": _files_sha(sorted(report_dir.glob("*.csv"))),
+        "subsidy": _sha(subsidy_csv.read_bytes()) if subsidy_csv.exists() else None,
     }
 
 
@@ -94,7 +119,11 @@ def main(argv=None) -> int:
                     out[key] = store_hashes(store_dir)
                     continue
                 result = workloads.run_pass(ck, inp, store_dir)
-                out[key] = solve16_hash(result) if workload == "solve16" else store_hashes(store_dir)
+                if workload == "solve16":
+                    out[key] = solve16_hash(result)
+                    continue
+                out[key] = store_hashes(store_dir)
+                out[f"{key}/analysis"] = analysis_hashes(store_dir)
         if args.full:
             document = ck.reduction.reduce_document(ck.fixture.fixture_document(), 2)
             scenarios = ck.scenarios.enumerate_scenarios(ck.scenarios.load_categories())
