@@ -53,5 +53,5 @@ from .scenarios import (
     subset_categories,
 )
 from .schedules import Schedule, schedule_value
-from .simplex import LpSolution, ResidualReport, SolverOptions, solve, verify_kkt
+from .simplex import LpSolution, ResidualReport, solve, verify_kkt
 from .translate import DispatchResult, StructuralError, extract, translate

@@ -63,16 +63,15 @@ def coverage_breakpoints(intervals) -> list[tuple[float, int, int]]:
     """Sweep summary: (endpoint, coverage at the point, coverage just right of it)."""
     ivs = _as_intervals(intervals)
     points = sorted({iv.lo for iv in ivs} | {iv.hi for iv in ivs})
-    out = []
-    for k, x in enumerate(points):
-        at = sum(1 for iv in ivs if iv.contains(x))
-        if k + 1 < len(points):
-            nxt = points[k + 1]
-            right = sum(1 for iv in ivs if iv.lo <= x and iv.hi >= nxt)
-        else:
-            right = 0
-        out.append((x, at, right))
-    return out
+    lo = np.sort([iv.lo for iv in ivs])
+    hi = np.sort([iv.hi for iv in ivs])
+    # An interval covers x if lo <= x <= hi, and the atom right of x if
+    # lo <= x < hi: no endpoint lies between x and the next point.
+    started = np.searchsorted(lo, points, side="right")
+    at = started - np.searchsorted(hi, points, side="left")
+    right = started - np.searchsorted(hi, points, side="right")
+    right[-1] = 0
+    return [(x, int(a), int(r)) for x, a, r in zip(points, at, right)]
 
 
 def quantile_corridor(intervals, q: float) -> list[Interval]:

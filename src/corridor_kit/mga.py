@@ -28,10 +28,10 @@ import numpy as np
 
 from .lp import LpProblem
 from .simplex import solve
+from .translate import TARGET_AUX
 
 BUDGET_LABEL = "budget"
 PIN_LABEL = "target_pin"
-TARGET_AUX = "electrolysis_output_mwh"
 
 logger = logging.getLogger(__name__)
 
@@ -101,11 +101,14 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     budget, so a vertex solver may return a solution that wastes the whole
     budget on unused capacity; carried into the next horizon such a fleet can
     make later budgets unreachable.  Re-solving for minimum cost with the
-    target pinned at its extremal value is a deterministic tie-break that
-    leaves the recorded extremal value untouched.  ``cost`` is the cost
-    vector that the budget row holds.  If the cleanup solve is not optimal,
-    the extremization's own solution is kept and a warning names the LP, its
-    scenario, the sense, the slack level and the status.
+    target pinned at its extremal value is a deterministic tie-break.  The pin
+    holds the target within ``1e-9 |h*| + 1e-2`` MWh of the extremum ``h*``
+    (1e-2 MWh is 3.0e-10 Mt), and the pathway records the target value of the
+    solution returned here, so a recorded value can sit anywhere inside that
+    slack rather than at ``h*``.  ``cost`` is the cost vector that the budget
+    row holds.  If the cleanup solve is not optimal, the extremization's own
+    solution is kept and a warning names the LP, its scenario, the sense, the
+    slack level and the status.
     """
     h_star = float(budgeted.c @ solution.x)
     slack = 1e-9 * abs(h_star) + 1e-2

@@ -17,7 +17,7 @@ optimal solve as part of the KKT residual check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,14 @@ STATUS_TIMEOUT = "timeout"
 # cut changes the answers of the LPs it moves.
 _KERNEL_MIN_ROWS = 140
 
-
-@dataclass
-class SolverOptions:
-    max_iterations: int = 50000
-    tol: float = 1e-9  # pricing / pivot tolerance on the equilibrated matrix
-    feas_tol: float = 1e-8  # relative phase-1 feasibility threshold
-    kkt_tol: float = 1e-8  # relative residual required to report "optimal"
-    refactor_every: int = 90
-    stall_iterations: int = 300  # switch to Bland's rule after this many non-improving pivots
+MAX_ITERATIONS = 50000  # per attempt; a solve that reaches it reports a timeout
+PIVOT_TOL = 1e-9  # pricing / pivot tolerance on the equilibrated matrix
+FEAS_TOL = 1e-8  # relative phase-1 feasibility threshold
+KKT_TOL = 1e-8  # relative residual required to report "optimal"
+REFACTOR_EVERY = 90  # pricing iterations between two refactorizations
+STALL_ITERATIONS = 300  # switch to Bland's rule after this many non-improving pivots
+CAUTIOUS_REFACTOR_EVERY = 20  # REFACTOR_EVERY of the retry after a numerical failure
+CAUTIOUS_STALL_ITERATIONS = 40  # STALL_ITERATIONS of that retry
 
 
 @dataclass
@@ -294,7 +293,7 @@ class _Standardizer:
         return y[: self.m_orig]
 
 
-def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve the problem with the reference revised simplex.
 
     Every LP, one without rows or without columns too, goes through the
@@ -305,10 +304,9 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     (non-finite coefficients, NaN or wrong-side infinite bounds) raises
     ``ValueError``.
     A solve whose final residuals miss the tolerance is retried once with
-    conservative settings before numerical failure is reported; the
+    the cautious settings before numerical failure is reported; the
     reported iterations and inverses then include both attempts.
     """
-    options = options or SolverOptions()
     for arr in (problem.c, problem.a_vals, problem.b):
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("non-finite coefficients in LP")
@@ -317,10 +315,9 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
         raise ValueError("NaN bound, lower bound +inf or upper bound -inf in LP")
 
     std = _Standardizer(problem)
-    sol = _solve_standardized(problem, std, options)
+    sol = _solve_standardized(problem, std, REFACTOR_EVERY, STALL_ITERATIONS)
     if sol.status == STATUS_NUMERICAL:
-        cautious = replace(options, refactor_every=20, stall_iterations=40)
-        retry = _solve_standardized(problem, std, cautious)
+        retry = _solve_standardized(problem, std, CAUTIOUS_REFACTOR_EVERY, CAUTIOUS_STALL_ITERATIONS)
         # The failed attempt's work counts too.
         retry.iterations += sol.iterations
         retry.phase1_iterations += sol.phase1_iterations
@@ -329,8 +326,10 @@ def solve(problem: LpProblem, options: SolverOptions | None = None) -> LpSolutio
     return sol
 
 
-def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: SolverOptions) -> LpSolution:
-    core = _SimplexCore(std.columns, std.b_std, std.c_std, options)
+def _solve_standardized(
+    problem: LpProblem, std: _Standardizer, refactor_every: int, stall_iterations: int
+) -> LpSolution:
+    core = _SimplexCore(std.columns, std.b_std, std.c_std, refactor_every, stall_iterations)
     status, iterations = core.run()
     counts = dict(iterations=iterations, phase1_iterations=core.phase1_iterations, inverses=core.inverses)
 
@@ -363,7 +362,7 @@ def _solve_standardized(problem: LpProblem, std: "_Standardizer", options: Solve
     )
     sol.objective = float(problem.c @ sol.x)
     sol.residuals = verify_kkt(problem, sol)
-    if not sol.residuals.passes(options.kkt_tol):
+    if not sol.residuals.passes(KKT_TOL):
         sol.status = STATUS_NUMERICAL
     return sol
 
@@ -616,11 +615,11 @@ class _SimplexCore:
     solves gather the basis from ``work`` itself.
     """
 
-    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, options: SolverOptions):
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
         self.a = a
         self.b = b
         self.c = c
-        self.options = options
+        self.refactor_every, self.stall_iterations = refactor_every, stall_iterations
         self.m, self.n = a.m, a.n
         self.iterations = 0
         self.phase1_iterations = 0
@@ -632,7 +631,6 @@ class _SimplexCore:
 
     def run(self) -> tuple[str, int]:
         m, n = self.m, self.n
-        opts = self.options
 
         # Initial basis: reuse slack columns where they enter positively,
         # add artificial columns elsewhere.  It is the identity, so the start
@@ -644,7 +642,7 @@ class _SimplexCore:
         self.basis = basis
         self.work = self.a.with_units(missing)
         factor = _ExplicitInverse if m < _KERNEL_MIN_ROWS else _KernelFactor
-        self.factor = factor(self.work, basis, opts.refactor_every)
+        self.factor = factor(self.work, basis, self.refactor_every)
         n_work = n + n_art
         self.is_artificial = np.zeros(n_work, dtype=bool)
         self.is_artificial[n:] = True
@@ -663,7 +661,7 @@ class _SimplexCore:
                 return status, self.iterations
             art_mask = self.is_artificial[self.basis]
             infeas = float(self.x_b[art_mask].sum()) if art_mask.any() else 0.0
-            if infeas > opts.feas_tol * feas_scale:
+            if infeas > FEAS_TOL * feas_scale:
                 return STATUS_INFEASIBLE, self.iterations
             self._drive_out_artificials()
         self.allowed &= ~self.is_artificial
@@ -772,8 +770,7 @@ class _SimplexCore:
         closed[self.basis] = True
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
-        opts = self.options
-        tol = opts.tol
+        tol = PIVOT_TOL
         # Pricing is normalized per column so the stopping rule matches the
         # relative reduced-cost criterion the KKT verifier applies; a second,
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
@@ -794,11 +791,11 @@ class _SimplexCore:
         score = np.empty(cost.size)
 
         while True:
-            if self.iterations >= opts.max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return STATUS_TIMEOUT
             self.iterations += 1
             since_refactor += 1
-            if since_refactor >= opts.refactor_every:
+            if since_refactor >= self.refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
                 np.maximum(self.x_b, 0.0, out=self.x_b)
@@ -884,11 +881,11 @@ class _SimplexCore:
             closed[j] = True
 
             stall += 1
-            if stall % 4 == 0 or stall > opts.stall_iterations:
+            if stall % 4 == 0 or stall > self.stall_iterations:
                 obj = float(cost[self.basis] @ self.x_b)
                 if obj < best_obj - tol * (1.0 + abs(best_obj)):
                     best_obj = obj
                     stall = 0
                     bland = False
-                elif stall > opts.stall_iterations:
+                elif stall > self.stall_iterations:
                     bland = True

@@ -28,6 +28,7 @@ from .lp import LpBuilder, LpProblem
 from .network import AssetSpec, Network, twh_to_mt
 
 ELECTROLYSIS_TAG = "electrolysis"
+TARGET_AUX = "electrolysis_output_mwh"  # aux key of the electrolysers' hydrogen output, the MGA target
 CARBON_CAPTURE_TAG = "carbon-capture"
 IMPORT_TAG = "import"
 # Assets whose parameters change over time: their vintages never merge across build years.
@@ -332,7 +333,7 @@ def translate(network: Network, fleet: Fleet | None = None, aggregate: bool = Fa
             for inst in instances
         ],
     }
-    return bld.build(aux={"electrolysis_output_mwh": aux_elec}, meta=meta)
+    return bld.build(aux={TARGET_AUX: aux_elec}, meta=meta)
 
 
 def _member_shares(rec: dict) -> list[tuple[str, int, float, float]]:
@@ -440,7 +441,7 @@ def extract(problem: LpProblem, solution) -> DispatchResult:
         flow_rows.append((carrier.name, bus_id, asset.id, asset.id, -annual))
         emissions += carrier.co2_intensity * annual
 
-    hydrogen_mwh = problem.aux_value("electrolysis_output_mwh", x)
+    hydrogen_mwh = problem.aux_value(TARGET_AUX, x)
     return DispatchResult(
         horizon=network.horizon,
         objective=float(problem.c @ x),

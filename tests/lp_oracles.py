@@ -27,7 +27,6 @@ from corridor_kit.simplex import (
     STATUS_TIMEOUT,
     STATUS_UNBOUNDED,
     ResidualReport,
-    SolverOptions,
     _Columns,
     _refined_solve,
     _slack_basis,
@@ -405,17 +404,16 @@ class BroadcastSimplexCore:
     phase1_iterations = 0
     inverses = 0
 
-    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, options: SolverOptions):
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
         self.a = a
         self.b = b
         self.c = c
-        self.options = options
+        self.refactor_every, self.stall_iterations = refactor_every, stall_iterations
         self.m, self.n = a.m, a.n
         self.iterations = 0
 
     def run(self) -> tuple[str, int]:
         m, n = self.m, self.n
-        opts = self.options
 
         # Initial basis: reuse slack columns where they enter positively,
         # add artificial columns elsewhere.
@@ -446,7 +444,7 @@ class BroadcastSimplexCore:
                 return status, self.iterations
             art_mask = self.is_artificial[self.basis]
             infeas = float(self.x_b[art_mask].sum()) if art_mask.any() else 0.0
-            if infeas > opts.feas_tol * feas_scale:
+            if infeas > simplex_mod.FEAS_TOL * feas_scale:
                 return STATUS_INFEASIBLE, self.iterations
             self._drive_out_artificials()
         self.allowed &= ~self.is_artificial
@@ -552,8 +550,7 @@ class BroadcastSimplexCore:
         return False, pivoted
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
-        opts = self.options
-        tol = opts.tol
+        tol = simplex_mod.PIVOT_TOL
         # Pricing is normalized per column so the stopping rule matches the
         # relative reduced-cost criterion the KKT verifier applies; a second,
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
@@ -572,11 +569,11 @@ class BroadcastSimplexCore:
         in_basis[self.basis] = True
 
         while True:
-            if self.iterations >= opts.max_iterations:
+            if self.iterations >= simplex_mod.MAX_ITERATIONS:
                 return STATUS_TIMEOUT
             self.iterations += 1
             since_refactor += 1
-            if since_refactor >= opts.refactor_every:
+            if since_refactor >= self.refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
                 np.maximum(self.x_b, 0.0, out=self.x_b)
@@ -655,11 +652,11 @@ class BroadcastSimplexCore:
             self._pivot(row, j, d)
 
             stall += 1
-            if stall % 4 == 0 or stall > opts.stall_iterations:
+            if stall % 4 == 0 or stall > self.stall_iterations:
                 obj = float(cost[self.basis] @ self.x_b)
                 if obj < best_obj - tol * (1.0 + abs(best_obj)):
                     best_obj = obj
                     stall = 0
                     bland = False
-                elif stall > opts.stall_iterations:
+                elif stall > self.stall_iterations:
                     bland = True

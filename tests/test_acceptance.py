@@ -16,7 +16,7 @@ from corridor_kit.network import build_network
 from corridor_kit.pathway import PathwayRecord, run_pathways
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
-from corridor_kit.simplex import SolverOptions, solve, verify_kkt
+from corridor_kit.simplex import solve, verify_kkt
 from corridor_kit.translate import translate
 
 from lp_oracles import dense, enumerate_vertices_minimum, random_problem

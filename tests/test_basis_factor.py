@@ -23,7 +23,7 @@ from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budge
 from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
 from corridor_kit.scenarios import apply_scenario
-from corridor_kit.simplex import SolverOptions, _KernelFactor, _slack_basis, _Standardizer, solve
+from corridor_kit.simplex import REFACTOR_EVERY, _KernelFactor, _slack_basis, _Standardizer, solve
 from corridor_kit.translate import translate
 
 from lp_oracles import (
@@ -37,8 +37,6 @@ from lp_oracles import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-REFACTOR_EVERY = SolverOptions().refactor_every
 
 
 def kernel_path():
@@ -162,14 +160,15 @@ def test_singular_kernel_fails_numerically_then_retries(monkeypatch):
     real_solve = simplex_mod._solve_standardized
     attempts = []
 
-    def record(problem, std, options):
-        sol = real_solve(problem, std, options)
-        attempts.append((sol.status, options.refactor_every))
+    def record(problem, std, refactor_every, stall_iterations):
+        sol = real_solve(problem, std, refactor_every, stall_iterations)
+        attempts.append((sol.status, refactor_every))
         return sol
 
     monkeypatch.setattr(simplex_mod, "_solve_standardized", record)
+    monkeypatch.setattr(simplex_mod, "REFACTOR_EVERY", 10)
     with kernel_path(), mock.patch.object(np.linalg, "inv", fail_first):
-        sol = solve(problem, SolverOptions(refactor_every=10))
+        sol = solve(problem)
     assert attempts == [("numerical_failure", 10), ("optimal", 20)]
     assert sol.status == "optimal" and sol.residuals.passes(1e-8)
 
@@ -199,7 +198,7 @@ def test_kernel_path_agrees_on_the_fixture(doc8, base_scenario):
     assert extremal.status == "optimal"
 
     cleanups = []
-    with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
+    with mock.patch.object(mga_mod, "solve", lambda lp: cleanups.append(lp) or solve(lp)):
         _cheapest_representative(budgeted, extremal, "min", problem.c)
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL

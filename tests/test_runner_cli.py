@@ -154,6 +154,36 @@ def test_chains_share_networks(fixture_doc, tiny_scenarios, monkeypatch):
     assert translated.count(2030) == 7
 
 
+def _slack_series(horizon, sense, h2_mt):
+    """Optimal records of one (horizon, sense) at ε 0.02, 0.05 and 0.10."""
+    return [
+        PathwayRecord("s", horizon, sense, eps, "optimal", cost_eur=1.0, h2_mt=h)
+        for eps, h in zip((0.02, 0.05, 0.10), h2_mt)
+    ]
+
+
+@pytest.mark.parametrize(
+    "records, warned",
+    [
+        # A max range that falls from ε 0.02 to ε 0.05 after the first horizon.
+        (_slack_series(2030, "max", (5.0, 6.0, 7.0)) + _slack_series(2035, "max", (6.0, 5.0, 8.0)), ["max", "2035"]),
+        # Ranges that widen: max rises and min falls with slack.
+        (_slack_series(2035, "max", (6.0, 6.0, 7.0)) + _slack_series(2035, "min", (2.0, 1.0, 1.0)), None),
+        # The first horizon is never checked, however its ranges move.
+        (_slack_series(2030, "max", (7.0, 5.0, 4.0)) + _slack_series(2030, "min", (1.0, 2.0, 3.0)), None),
+    ],
+)
+def test_nesting_warning(records, warned, caplog):
+    with caplog.at_level(logging.WARNING, logger="corridor_kit.runner"):
+        runner_mod._log_nesting_violations(records, (2030, 2035))
+    if warned is None:
+        assert caplog.records == []
+    else:
+        (warning,) = caplog.records
+        assert warning.levelno == logging.WARNING
+        assert all(word in warning.getMessage() for word in warned)
+
+
 def write_tiny_inputs(tmp_path, doc8):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc8))

@@ -14,7 +14,7 @@ from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
-from corridor_kit.simplex import LpSolution, SolverOptions, solve, verify_kkt
+from corridor_kit.simplex import LpSolution, solve, verify_kkt
 from corridor_kit.translate import translate
 
 import lp_oracles
@@ -78,9 +78,10 @@ def test_unbounded_detected():
     assert sol.status == "unbounded"
 
 
-def test_timeout_status():
+def test_timeout_status(monkeypatch):
     prob = two_var_problem()
-    sol = solve(prob, SolverOptions(max_iterations=1))
+    monkeypatch.setattr(simplex_mod, "MAX_ITERATIONS", 1)
+    sol = solve(prob)
     assert sol.status == "timeout"
 
 
@@ -298,7 +299,7 @@ def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
     assert extremal.status == "optimal"
 
     cleanups = []
-    with mock.patch.object(mga_mod, "solve", lambda lp, options=None: cleanups.append(lp) or solve(lp)):
+    with mock.patch.object(mga_mod, "solve", lambda lp: cleanups.append(lp) or solve(lp)):
         _cheapest_representative(budgeted, extremal, "min", problem.c)
     (cleanup,) = cleanups
     assert cleanup.row_labels[-1] == PIN_LABEL
@@ -318,9 +319,9 @@ def test_retry_counts_both_attempts(monkeypatch):
     real = simplex_mod._solve_standardized
     attempts = []
 
-    def fail_first(problem, std, options):
-        sol = real(problem, std, options)
-        attempts.append((sol.iterations, options))
+    def fail_first(problem, std, refactor_every, stall_iterations):
+        sol = real(problem, std, refactor_every, stall_iterations)
+        attempts.append((sol.iterations, (refactor_every, stall_iterations)))
         if len(attempts) == 1:
             return LpSolution(status="numerical_failure", iterations=sol.iterations)
         return sol
@@ -332,7 +333,7 @@ def test_retry_counts_both_attempts(monkeypatch):
     assert len(kkt_calls) == 2  # once per attempt
     (first, _), (second, cautious) = attempts
     assert first > 0 and sol.iterations == first + second
-    assert (cautious.refactor_every, cautious.stall_iterations) == (20, 40)
+    assert cautious == (20, 40)
 
 
 def test_implicit_unit_columns_keep_artificial_heavy_answers():
@@ -413,8 +414,8 @@ def test_retry_sums_phase1_iterations_and_inverses(monkeypatch):
     real = simplex_mod._solve_standardized
     attempts = []
 
-    def fail_first(problem, std, options):
-        sol = real(problem, std, options)
+    def fail_first(problem, std, refactor_every, stall_iterations):
+        sol = real(problem, std, refactor_every, stall_iterations)
         attempts.append((sol.phase1_iterations, sol.inverses))
         if len(attempts) == 1:
             return replace(sol, status="numerical_failure")
