@@ -32,6 +32,10 @@ from .translate import TARGET_AUX
 
 BUDGET_LABEL = "budget"
 PIN_LABEL = "target_pin"
+# The cleanup's pin holds the target within PIN_SLACK_REL * |h*| + PIN_SLACK_MWH
+# of the extremum h* (in the LP's target unit, MWh); 1e-2 MWh is 3.0e-10 Mt.
+PIN_SLACK_REL = 1e-9
+PIN_SLACK_MWH = 1e-2
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +106,8 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     budget on unused capacity; carried into the next horizon such a fleet can
     make later budgets unreachable.  Re-solving for minimum cost with the
     target pinned at its extremal value is a deterministic tie-break.  The pin
-    holds the target within ``1e-9 |h*| + 1e-2`` MWh of the extremum ``h*``
-    (1e-2 MWh is 3.0e-10 Mt), and the pathway records the target value of the
+    holds the target within ``PIN_SLACK_REL |h*| + PIN_SLACK_MWH`` of the
+    extremum ``h*``, and the pathway records the target value of the
     solution returned here, so a recorded value can sit anywhere inside that
     slack rather than at ``h*``.  ``cost`` is the cost vector that the budget
     row holds.  If the cleanup solve is not optimal, the extremization's own
@@ -111,7 +115,7 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     slack level and the status.
     """
     h_star = float(budgeted.c @ solution.x)
-    slack = 1e-9 * abs(h_star) + 1e-2
+    slack = PIN_SLACK_REL * abs(h_star) + PIN_SLACK_MWH
     pin_sense = "le" if sense == "min" else "ge"
     bound = h_star + slack if sense == "min" else h_star - slack
     target_coeffs = {int(j): float(budgeted.c[j]) for j in np.nonzero(budgeted.c)[0]}

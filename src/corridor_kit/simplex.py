@@ -31,11 +31,10 @@ STATUS_TIMEOUT = "timeout"
 
 # Standard-form rows from which the simplex inverts only the basis kernel
 # (_KernelFactor); smaller LPs keep the explicit inverse (_ExplicitInverse).
-# The measured crossover: a kernel iteration costs 1.02-1.62x an explicit one
-# at 119-136 rows and 0.69-1.13x (10 of 12 LPs below 1) at 148-202 rows.
-# That was against a blocked explicit update; against the broadcast one a
-# kernel iteration cost 0.79-0.99x at 135-136 rows (3 LPs), but moving the
-# cut changes the answers of the LPs it moves.
+# The measured crossover: a kernel iteration costs 1.21-1.48x an explicit one
+# at 66-71 rows, 0.97-1.29x at 97-104, 0.49-1.15x (5 of 6 LPs below 1) at
+# 128-137 and 0.40-0.71x at 159-203 (README, solver notes).  The cut could
+# sit lower, but moving it changes the answers of the LPs it moves.
 _KERNEL_MIN_ROWS = 140
 
 MAX_ITERATIONS = 50000  # per attempt; a solve that reaches it reports a timeout
@@ -74,7 +73,7 @@ class LpSolution:
     residuals: ResidualReport | None = None
     basis: tuple | None = None  # opaque basis fingerprint (standard-form column ids)
     phase1_iterations: int = 0  # of ``iterations``, those spent in phase 1
-    inverses: int = 0  # basis inverses computed (kernel inverses on the kernel path)
+    inverses: int = 0  # basis inverses computed (refactorizations with a nonempty kernel on the kernel path)
 
 
 def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
@@ -169,6 +168,13 @@ class _Columns:
         self.rows, self.cols, self.vals = rows, cols, vals
         self.start = np.searchsorted(cols, np.arange(n + 1))
 
+    def gather(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of columns ``cols``: each one's index in ``cols``, and its index in ``rows``/``vals``."""
+        first = self.start[cols]
+        counts = self.start[cols + 1] - first
+        at = np.repeat(np.arange(cols.size), counts)
+        return at, np.arange(at.size) + (first - np.cumsum(counts) + counts)[at]
+
     def dense(self, cols: np.ndarray) -> np.ndarray:
         """Columns ``cols`` as a dense m x len(cols) block.
 
@@ -176,10 +182,7 @@ class _Columns:
         row-major matrix is: the residual ``b - B x`` of a refined solve
         rounds by the layout of ``B``.
         """
-        first = self.start[cols]
-        counts = self.start[cols + 1] - first
-        at = np.repeat(np.arange(cols.size), counts)
-        entries = np.arange(at.size) + (first - np.cumsum(counts) + counts)[at]
+        at, entries = self.gather(cols)
         block = np.zeros((self.m, cols.size), order="F")
         block[self.rows[entries], at] = self.vals[entries]
         return block
@@ -338,16 +341,16 @@ def _solve_standardized(
 
     # Final polish.  An optimal core ends on a primal restoration that made no
     # pivot, so its basic solution is already the refined, clamped solve of
-    # the final basis; the duals come from a refined solve of the transposed
-    # basis.  A redundant row can keep an artificial column basic at zero;
-    # such a column pins that row's dual to zero.
+    # the final basis; the duals come from the factor's refined solve with the
+    # transposed basis.  A redundant row can keep an artificial column basic
+    # at zero; such a column pins that row's dual to zero.
     basis = core.basis
     n_std = std.columns.n
     structural = basis < n_std
     cost_basic = np.zeros(basis.size)
     cost_basic[structural] = std.c_std[basis[structural]]
     try:
-        y_std = _refined_solve(core.work.dense(basis).T, cost_basic)
+        y_std = core.factor.solve(basis, cost_basic, transpose=True)
     except np.linalg.LinAlgError:
         return LpSolution(status=STATUS_NUMERICAL, **counts)
     x_std = np.zeros(n_std)
@@ -422,6 +425,11 @@ class _ExplicitInverse:
             return False
         return True
 
+    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``B^-1 v`` (``B^-T v`` with ``transpose``) by a refined LU solve of the dense basis."""
+        block = self.work.dense(basis)
+        return _refined_solve(block.T if transpose else block, v)
+
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
         return self.b_inv @ (j if isinstance(j, np.ndarray) else self.dense[:, j])
@@ -440,6 +448,76 @@ class _ExplicitInverse:
         self.b_inv[row] = row_r / piv
 
 
+def _singleton_rounds(major: np.ndarray, minor: np.ndarray, major_live: np.ndarray, minor_live: np.ndarray):
+    """Peel the lines of one direction that hold a single live entry, round by round.
+
+    ``major`` and ``minor`` are the entries' line ids in the two directions
+    (columns and rows for column singletons).  Each round takes every major
+    line with one entry on a live minor line, pivots it on that entry and
+    retires both lines in ``major_live`` and ``minor_live``; retiring the
+    minor lines makes the next round's singletons.  Returns the rounds as
+    ``(major ids, minor ids)`` and the entries left on live minor lines.
+    Raises ``LinAlgError`` when two singletons of a round share a minor line.
+    """
+    rounds = []
+    live = np.count_nonzero(minor_live)
+    while True:
+        keep = minor_live[minor]
+        major, minor = major[keep], minor[keep]
+        single = np.flatnonzero(np.bincount(major, minlength=major_live.size)[major] == 1)
+        if not single.size:
+            return rounds, major, minor
+        lead, pivot = major[single], minor[single]
+        major_live[lead] = minor_live[pivot] = False
+        live -= single.size
+        if np.count_nonzero(minor_live) != live:
+            raise np.linalg.LinAlgError("two singletons on one line")
+        rounds.append((lead, pivot))
+
+
+def _peeled_inverse_t(k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``(K^-1)^T`` of the k x k kernel with entries ``vals`` at ``(rows, cols)``, inverting densely only its bump.
+
+    Column singletons are peeled first, then row singletons (Suhl & Suhl
+    1990).  Ordered in levels, the column-singleton rounds in peel order, the
+    bump, then the row-singleton rounds in reverse peel order, the permuted
+    kernel ``M`` is block upper triangular, and each round's diagonal block
+    is diagonal.  ``M^-1`` is assembled by block back-substitution, from the
+    last level up, one dense product per level; only the bump goes through
+    ``np.linalg.inv``.  Raises ``LinAlgError`` if the kernel is singular: two
+    singletons claim one row or one column, or the bump is singular.
+    """
+    row_live, col_live = np.ones(k, dtype=bool), np.ones(k, dtype=bool)
+    col_rounds, live_cols, live_rows = _singleton_rounds(cols, rows, col_live, row_live)
+    row_rounds, _, _ = _singleton_rounds(live_rows, live_cols, row_live, col_live)
+    bump = (np.flatnonzero(row_live), np.flatnonzero(col_live))
+    levels = [(r, c) for c, r in col_rounds] + [bump] + row_rounds[::-1]
+    # Each kernel row's and column's position in M.
+    at_r, at_c = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    at_r[np.concatenate([r for r, _ in levels])] = np.arange(k)
+    at_c[np.concatenate([c for _, c in levels])] = np.arange(k)
+    permuted = np.zeros((k, k))
+    permuted[at_r[rows], at_c[cols]] = vals
+    inv = np.zeros((k, k))  # M^-1, filled from the last level up
+    end = k
+    for i in range(len(levels) - 1, -1, -1):
+        start = end - levels[i][0].size
+        diagonal = permuted[start:end, start:end]
+        upper = permuted[start:end, end:]
+        used = np.flatnonzero(upper.any(axis=0))
+        rest = -(upper[:, used] @ inv[end + used, end:])
+        if i == len(col_rounds):  # the bump
+            d_inv = np.linalg.inv(diagonal)
+            inv[start:end, start:end] = d_inv
+            inv[start:end, end:] = d_inv @ rest
+        else:
+            d_inv = 1.0 / np.diagonal(diagonal)
+            np.fill_diagonal(inv[start:end, start:end], d_inv)
+            inv[start:end, end:] = d_inv[:, None] * rest
+        end = start
+    return np.ascontiguousarray(inv[at_c][:, at_r].T)  # entry (s, t) is M^-1[at_c[t], at_r[s]]
+
+
 class _KernelFactor:
     """The inverse of the basis kernel and a product-form eta file, for larger LPs.
 
@@ -449,7 +527,11 @@ class _KernelFactor:
     unit columns on their rows ``R_U``; the kernel ``K = B[R_S, S]`` is the
     rest of the basis on the remaining rows, and the coupling block
     ``C = B[R_U, S]`` is kept as triplets.  A refactorization inverts only
-    ``K``.  Pricing runs over the working matrix's triplets.
+    ``K``, and of ``K`` densely only the bump left once its singletons are
+    peeled off (:func:`_peeled_inverse_t`).  Pricing runs over the working
+    matrix's triplets, and the refined solves (:meth:`solve`) run on this
+    factor with residuals over the basis columns' triplets: the kernel path
+    gathers no dense m x m basis.
 
     Between refactorizations each pivot appends one eta to a product-form
     file, which is applied to a vector in one step.  A pivot on position
@@ -468,7 +550,7 @@ class _KernelFactor:
     def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
         self.work = work
         m = self.m = work.m
-        self.inverses = 0  # kernel inverses computed
+        self.inverses = 0  # refactorizations with a nonempty kernel
         self.abs_vals = np.abs(work.vals)
         self.unit_row, self.unit_sign = _unit_columns(work)
         # The eta file: N transposed (one row per pivot), L^-1, pivot positions
@@ -491,7 +573,7 @@ class _KernelFactor:
         """Split the basis into unit columns and the kernel, and invert the kernel.
 
         False if the basis is singular: two unit columns on one row, or a
-        singular kernel.
+        singular kernel (see :func:`_peeled_inverse_t`).
         """
         m = self.m
         self.etas = 0
@@ -505,24 +587,28 @@ class _KernelFactor:
         s_rows = np.flatnonzero(kernel_row)
         if s_rows.size != s_pos.size:
             return False
-        block = self.work.dense(basis[s_pos])
-        if s_pos.size:
-            self.inverses += 1
-            try:
-                self.k_inv_t = np.linalg.inv(block[s_rows].T)  # (K^-1)^T
-            except np.linalg.LinAlgError:
-                return False
-        else:
-            self.k_inv_t = np.zeros((0, 0))
-        c_row, c_col = np.nonzero(block[u_rows])
-        self.c_row, self.c_col, self.c_val = c_row, c_col, block[u_rows[c_row], c_col]
-        self.u_pos, self.u_rows, self.u_sign = u_pos, u_rows, sign[u_pos]
-        self.s_pos, self.s_rows = s_pos, s_rows
-        self.kernel_row = kernel_row
         # Each row's index among the kernel rows or among the unit rows.
         self.slot = np.empty(m, dtype=np.int64)
         self.slot[s_rows] = np.arange(s_rows.size)
         self.slot[u_rows] = np.arange(u_rows.size)
+        # The kernel columns' entries, split into K and the coupling block C.
+        col, entries = self.work.gather(basis[s_pos])
+        rows, vals = self.work.rows[entries], self.work.vals[entries]
+        slot, in_k = self.slot[rows], kernel_row[rows]
+        if s_pos.size:
+            self.inverses += 1
+            try:
+                self.k_inv_t = _peeled_inverse_t(s_pos.size, slot[in_k], col[in_k], vals[in_k])
+            except np.linalg.LinAlgError:
+                return False
+        else:
+            self.k_inv_t = np.zeros((0, 0))
+        coupled = np.flatnonzero(~in_k)
+        coupled = coupled[np.argsort(slot[coupled], kind="stable")]  # row by row
+        self.c_row, self.c_col, self.c_val = slot[coupled], col[coupled], vals[coupled]
+        self.u_pos, self.u_rows, self.u_sign = u_pos, u_rows, sign[u_pos]
+        self.s_pos, self.s_rows = s_pos, s_rows
+        self.kernel_row = kernel_row
         return True
 
     def _solve(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -535,6 +621,37 @@ class _KernelFactor:
         x = np.empty(self.m)
         x[self.s_pos] = x_s
         x[self.u_pos] = a_u * self.u_sign
+        return x
+
+    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``B^-1 v`` (``B^-T v`` with ``transpose``) for the current basis, refined twice.
+
+        FTRAN (BTRAN) with this factor, eta file included, then two steps of
+        iterative refinement with the residual ``v - B x`` over the basis
+        columns' triplets.  Raises ``LinAlgError`` if the refined residual
+        misses ``KKT_TOL`` against the size of ``v`` and ``|B| |x|``.
+        """
+        at, entries = self.work.gather(basis)
+        rows, vals = self.work.rows[entries], self.work.vals[entries]
+        if transpose:
+            apply, into, out = self.btran, at, rows
+        else:
+            apply, into, out = self.ftran, rows, at
+
+        def residual(x):
+            product = vals * x[out]
+            return v - np.bincount(into, weights=product, minlength=self.m), product
+
+        x = apply(v)
+        r, product = residual(x)
+        for _ in range(2):
+            if not np.any(r):
+                break
+            x = x + apply(r)
+            r, product = residual(x)
+        activity = np.bincount(into, weights=np.abs(product), minlength=self.m)
+        if not np.all(np.abs(r) <= KKT_TOL * (1.0 + np.abs(v) + activity)):
+            raise np.linalg.LinAlgError("refined solve did not converge")
         return x
 
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
@@ -610,9 +727,10 @@ class _SimplexCore:
     :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
     (``B^-1 a_j``), ``btran(v)`` (``v B^-1``; a row of ``B^-1`` is
     ``btran(pos)``), ``update(row, d)`` after a pivot and ``refactor(basis)``,
-    and prices with ``times_a``.  A factor starts on the slack/artificial
-    basis, the identity, with room for ``refactor_every`` etas.  The refined
-    solves gather the basis from ``work`` itself.
+    prices with ``times_a`` and refines ``solve(basis, v, transpose)``, the
+    solves of the primal restoration, the final polish and the ray check.  A
+    factor starts on the slack/artificial basis, the identity, with room for
+    ``refactor_every`` etas.
     """
 
     def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
@@ -626,7 +744,7 @@ class _SimplexCore:
 
     @property
     def inverses(self) -> int:
-        """Basis inverses computed (kernel inverses on the kernel path)."""
+        """Basis inverses computed (refactorizations with a nonempty kernel on the kernel path)."""
         return self.factor.inverses
 
     def run(self) -> tuple[str, int]:
@@ -720,16 +838,17 @@ class _SimplexCore:
     def _restore_primal(self, cost: np.ndarray) -> tuple[bool, bool]:
         """Repair exact primal infeasibility of a priced-optimal basis.
 
-        Solves for the basic solution afresh without clamping, then runs
-        dual-simplex steps (leaving: most negative basic; entering: dual ratio
-        test, which preserves the nonnegative reduced costs pricing just
-        established) until the exact basic solution is feasible.  The basis is
-        inverted only once a step is needed.  Returns (feasible, pivoted).
+        Solves for the basic solution afresh with the factor's refined solve,
+        without clamping, then runs dual-simplex steps (leaving: most negative
+        basic; entering: dual ratio test, which preserves the nonnegative
+        reduced costs pricing just established) until the exact basic solution
+        is feasible.  The factor is refactorized only once a step is needed.
+        Returns (feasible, pivoted).
         """
         if not self.m:
             return True, False  # no rows: nothing to restore
         try:
-            self.x_b = _refined_solve(self.work.dense(self.basis), self.b)
+            self.x_b = self.factor.solve(self.basis, self.b)
         except np.linalg.LinAlgError:
             return False, False
         # Negativity below the solution-scale noise floor is genuine basis
@@ -847,7 +966,7 @@ class _SimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _refined_solve(self.work.dense(self.basis).T, cost[self.basis])
+                y_acc = self.factor.solve(self.basis, cost[self.basis], transpose=True)
                 dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude

@@ -398,7 +398,8 @@ class BroadcastSimplexCore:
     its own attributes: every pivot updates the inverse with one broadcast
     m x m outer product.  It also inverts the start basis and the basis before
     every primal restoration, the two inverses ``_SimplexCore`` skips.  It
-    keeps no phase-1 or inverse counters and reports both as 0.
+    keeps no phase-1 or inverse counters and reports both as 0.  It is its
+    own ``factor``: the final polish calls its refined ``solve``.
     """
 
     phase1_iterations = 0
@@ -421,8 +422,8 @@ class BroadcastSimplexCore:
         missing = np.flatnonzero(basis == -1)
         n_art = missing.size
         basis[missing] = n + np.arange(n_art)
-        self.work = self.a.with_units(missing)  # the final polish gathers its basis here
-        a_work = np.ascontiguousarray(self.work.dense(np.arange(self.work.n)))
+        work = self.a.with_units(missing)
+        a_work = np.ascontiguousarray(work.dense(np.arange(work.n)))
         self.a_work = a_work
         self.basis = basis
         self.is_artificial = np.zeros(a_work.shape[1], dtype=bool)
@@ -464,6 +465,15 @@ class BroadcastSimplexCore:
             if not feasible:
                 return STATUS_NUMERICAL, self.iterations
         return STATUS_NUMERICAL, self.iterations
+
+    @property
+    def factor(self):
+        return self
+
+    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``B^-1 v`` (``B^-T v`` with ``transpose``) by a refined LU solve of the dense basis."""
+        block = self.a_work[:, basis]
+        return _refined_solve(block.T if transpose else block, v)
 
     def _refactor(self) -> bool:
         try:
@@ -517,7 +527,7 @@ class BroadcastSimplexCore:
             return True, False  # no rows: nothing to restore
         if not self._refactor():
             return False, False
-        self.x_b = _refined_solve(self.a_work[:, self.basis], self.b)
+        self.x_b = self.solve(self.basis, self.b)
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
         # noise the final clamp absorbs.
@@ -626,7 +636,7 @@ class BroadcastSimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _refined_solve(self.a_work[:, self.basis].T, cost[self.basis])
+                y_acc = self.solve(self.basis, cost[self.basis], transpose=True)
                 z_acc = cost[j] - float(y_acc @ self.a_work[:, j])
                 noise_j = 1.0 + float(np.abs(y_acc) @ abs_a[:, j])
                 if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):

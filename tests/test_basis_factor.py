@@ -2,9 +2,10 @@
 
 ``_KernelFactor`` serves every LP from ``_KERNEL_MIN_ROWS`` standard-form rows
 on.  Its pivot path differs from the explicit inverse's, so it is held to
-tolerances here, not to bytes: its FTRAN and BTRAN against dense solves of the
-same basis, and its solves against the explicit-inverse path and the vertex
-oracle.
+tolerances here, not to bytes: its peeled kernel inverse against
+``np.linalg.inv``, its FTRAN, BTRAN and refined solves against dense solves of
+the same basis, and its LP solves against the explicit-inverse path and the
+vertex oracle.
 """
 
 import os
@@ -23,7 +24,14 @@ from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budge
 from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
 from corridor_kit.scenarios import apply_scenario
-from corridor_kit.simplex import REFACTOR_EVERY, _KernelFactor, _slack_basis, _Standardizer, solve
+from corridor_kit.simplex import (
+    REFACTOR_EVERY,
+    _KernelFactor,
+    _peeled_inverse_t,
+    _slack_basis,
+    _Standardizer,
+    solve,
+)
 from corridor_kit.translate import translate
 
 from lp_oracles import (
@@ -35,7 +43,7 @@ from lp_oracles import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -87,11 +95,13 @@ def _assert_close(got, want):
 
 
 def _assert_solves(factor, basis, working, rng):
-    """FTRAN and BTRAN of vectors, a working column and a unit row against dense solves."""
+    """FTRAN, BTRAN and refined solves of vectors, a working column and a unit row against dense solves."""
     b = working[:, basis]
     for v in (rng.standard_normal(b.shape[0]), working[:, int(rng.integers(working.shape[1]))]):
         _assert_close(factor.ftran(v.copy()), np.linalg.solve(b, v))
         _assert_close(factor.btran(v.copy()), np.linalg.solve(b.T, v))
+        _assert_close(factor.solve(basis, v), np.linalg.solve(b, v))
+        _assert_close(factor.solve(basis, v, transpose=True), np.linalg.solve(b.T, v))
     j = int(rng.integers(working.shape[1]))
     _assert_close(factor.ftran(j), np.linalg.solve(b, working[:, j]))
     pos = int(rng.integers(b.shape[0]))
@@ -126,6 +136,82 @@ def test_kernel_factor_grows_past_refactor_every():
     _pivot_randomly(factor, basis, working, n, 13, rng)
     assert factor.etas == 13
     _assert_solves(factor, basis, working, rng)
+
+
+def test_refined_solve_raises_when_refinement_does_not_converge():
+    rng = np.random.default_rng(5)
+    n, basis, working = _working_matrix(80, rng)
+    factor = _KernelFactor(columns_of(working), basis.copy(), REFACTOR_EVERY)
+    _pivot_randomly(factor, basis, working, n, 30, rng)
+    assert factor.refactor(basis) and factor.k_inv_t.size
+    v = rng.standard_normal(80)
+    factor.solve(basis, v)
+    # With twice the kernel inverse, each step overshoots by the whole
+    # residual: the refinement oscillates instead of converging.
+    factor.k_inv_t *= 2.0
+    for transpose in (False, True):
+        with pytest.raises(np.linalg.LinAlgError):
+            factor.solve(basis, v, transpose)
+
+
+def _planted_kernel(n_col: int, n_bump: int, n_row: int, seed: int) -> np.ndarray:
+    """A kernel with ``n_col`` column singletons, a dense bump and ``n_row`` row singletons, shuffled.
+
+    Ordered as planted, it is upper triangular but for the dense
+    ``n_bump`` x ``n_bump`` bump, with 0-3 entries right of the diagonal per
+    row; its rows and columns are then permuted at random.
+    """
+    rng = np.random.default_rng(seed)
+    k = n_col + n_bump + n_row
+    m = np.zeros((k, k))
+    for i in range(k - 1):
+        later = rng.choice(np.arange(i + 1, k), size=min(k - 1 - i, int(rng.integers(0, 4))), replace=False)
+        m[i, later] = rng.uniform(-0.5, 0.5, later.size)
+    m[np.arange(k), np.arange(k)] = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
+    bump = slice(n_col, n_col + n_bump)
+    m[bump, bump] = rng.uniform(-1.0, 1.0, (n_bump, n_bump)) + n_bump * np.eye(n_bump)
+    return m[np.ix_(rng.permutation(k), rng.permutation(k))]
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 160), st.integers(0, 70), st.integers(0, 60), st.integers(0, 2**32 - 1))
+@example(n_col=100, n_bump=0, n_row=40, seed=1)  # no bump
+@example(n_col=0, n_bump=60, n_row=0, seed=2)  # fully dense: no singletons
+@example(n_col=150, n_bump=54, n_row=51, seed=3)  # solve16-sized
+def test_peeled_kernel_inverse_matches_inv(n_col, n_bump, n_row, seed):
+    kernel = _planted_kernel(n_col, n_bump, n_row, seed)
+    if not kernel.size:
+        return
+    real_inv = np.linalg.inv
+    inverted = []
+    rows, cols = np.nonzero(kernel)
+    with mock.patch.object(np.linalg, "inv", lambda a: inverted.append(a.shape[0]) or real_inv(a)):
+        got = _peeled_inverse_t(kernel.shape[0], rows, cols, kernel[rows, cols])
+    want = real_inv(kernel.T)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert len(inverted) == 1 and inverted[0] <= n_bump  # only the bump, or less of it
+
+
+def test_refactor_rejects_singular_peels():
+    # Columns 0-6, then the slacks of rows 0-2, the start basis.  No column
+    # 0-6 is a unit column, so a basis of three of them is all kernel.
+    a = np.array(
+        [
+            [2.0, 3.0, 2.0, 0.0, 1.0, 1.0, 7.0],
+            [0.0, 0.0, 3.0, 0.0, 2.0, 2.0, 4.0],
+            [0.0, 0.0, 0.0, 5.0, 1.0, 3.0, 2.0],
+        ]
+    )
+    factor = _KernelFactor(columns_of(np.hstack([a, np.eye(3)])), np.array([7, 8, 9]), REFACTOR_EVERY)
+    # The slack of row 2 leaves the kernel rows 0-1: columns 0 and 1 are
+    # column singletons on row 0, and rows 0 and 1 row singletons on column 2.
+    assert not factor.refactor(np.array([0, 1, 9]))
+    assert not factor.refactor(np.array([2, 3, 9]))
+    # Column 0 is a column singleton on row 0; the bump, rows 1-2 of columns
+    # 4 and 6, is [[2, 4], [1, 2]] and singular, and [[2, 2], [1, 3]] with
+    # column 5 is not.
+    assert not factor.refactor(np.array([0, 4, 6]))
+    assert factor.refactor(np.array([0, 4, 5]))
 
 
 def test_kernel_factor_rejects_singular_bases():

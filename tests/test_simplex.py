@@ -402,9 +402,18 @@ def test_optimal_solve_refines_one_primal_and_one_dual(doc8, base_scenario, monk
     # solve of the same final basis instead of solving for it again.
     problem = _doc8_2030(doc8, base_scenario)
     b_std = simplex_mod._Standardizer(problem).b_std
-    real = simplex_mod._refined_solve
     rhs = []
-    monkeypatch.setattr(simplex_mod, "_refined_solve", lambda a, b, steps=2: rhs.append(b) or real(a, b, steps))
+
+    def counting(real):
+        def solve_and_count(self, basis, v, transpose=False):
+            rhs.append(v)
+            return real(self, basis, v, transpose)
+
+        return solve_and_count
+
+    # Every refined solve goes through the basis factor's solve.
+    for factor in (simplex_mod._ExplicitInverse, simplex_mod._KernelFactor):
+        monkeypatch.setattr(factor, "solve", counting(factor.solve))
     assert solve(problem).status == "optimal"
     primal = sum(np.array_equal(b, b_std) for b in rhs)
     assert (primal, len(rhs) - primal) == (1, 1)

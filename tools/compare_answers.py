@@ -15,7 +15,12 @@ A record is one ``run_matrix`` record, or one solve16 solve (its objective
 as ``cost_eur``, its extracted target as ``h2_mt``, no ``mu_raw``).  Statuses
 must match exactly, and ``cost_eur``, ``h2_mt`` and ``mu_raw`` agree within
 the tolerances of ``perfbench/gate.py``.  Every record outside them is listed
-on its own line, and the exit status is 1 if there is any.
+on its own line, and the exit status is 1 if there is any.  A ``min`` or
+``max`` record's ``h2_mt`` move no larger than the cleanup pin's slack (``mga.PIN_SLACK_REL`` and
+``mga.PIN_SLACK_MWH`` of this checkout's program, in Mt) is tagged
+``[pin-slack]``: the pinned target may sit anywhere inside that slack.  The
+summary line counts the records whose only moves are such tagged ones apart
+from the others.
 """
 
 from __future__ import annotations
@@ -82,9 +87,18 @@ def answers(root: Path, mga8_all: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def differences(old: dict, new: dict) -> tuple[list[str], int]:
-    """One line per record outside the tolerances, and the number of records compared."""
-    lines, compared = [], 0
+def pin_slack_mt(ck, h2_mt: float) -> float:
+    """The cleanup pin's slack, in Mt, around an extremal target of ``h2_mt`` Mt."""
+    h_star_mwh = ck.network.mt_to_twh(abs(h2_mt)) * 1e6
+    return ck.network.twh_to_mt((ck.mga.PIN_SLACK_REL * h_star_mwh + ck.mga.PIN_SLACK_MWH) / 1e6)
+
+
+def differences(old: dict, new: dict, ck) -> tuple[list[str], int, int]:
+    """One line per record outside the tolerances, the records compared, and the pin-slack ones.
+
+    ``ck`` is the program whose pin slack tags the ``h2_mt`` moves.
+    """
+    lines, compared, pin_slack = [], 0, 0
     for group in sorted(old.keys() | new.keys()):
         before = {tuple(r[:4]): r[4:] for r in old.get(group, [])}
         after = {tuple(r[:4]): r[4:] for r in new.get(group, [])}
@@ -98,14 +112,19 @@ def differences(old: dict, new: dict) -> tuple[list[str], int]:
             if status != new_status:
                 lines.append(f"{what}: status {status} -> {new_status}")
                 continue
-            moved = [
-                f"{field} {a!r} -> {b!r}"
-                for field, a, b in zip(gate.VALUE_FIELDS, values, new_values)
-                if not gate._close(a, b, gate.REL_TOL)
-            ]
+            moved, tagged = [], 0
+            for field, a, b in zip(gate.VALUE_FIELDS, values, new_values):
+                if gate._close(a, b, gate.REL_TOL):
+                    continue
+                tag = ""
+                if field == "h2_mt" and key[2] != "optimal" and None not in (a, b):
+                    if abs(a - b) <= pin_slack_mt(ck, max(abs(a), abs(b))):
+                        tag, tagged = " [pin-slack]", tagged + 1
+                moved.append(f"{field} {a!r} -> {b!r}{tag}")
             if moved:
                 lines.append(f"{what}: {', '.join(moved)}")
-    return lines, compared
+                pin_slack += tagged == len(moved)
+    return lines, compared, pin_slack
 
 
 def main(argv=None) -> int:
@@ -120,8 +139,13 @@ def main(argv=None) -> int:
         return 0
     if args.old is None or args.new is None:
         parser.error("OLD and NEW are required")
-    lines, compared = differences(answers(args.old, args.mga8_all), answers(args.new, args.mga8_all))
-    print("\n".join(lines + [f"{len(lines)} of {compared} records differ"]))
+    ck = env.import_program()  # this checkout's program, for its pin slack
+    lines, compared, pin_slack = differences(answers(args.old, args.mga8_all), answers(args.new, args.mga8_all), ck)
+    summary = (
+        f"{len(lines)} of {compared} records differ"
+        f" ({pin_slack} only by pin-slack moves, {len(lines) - pin_slack} otherwise)"
+    )
+    print("\n".join(lines + [summary]))
     return 1 if lines else 0
 
 
