@@ -39,7 +39,7 @@ _KERNEL_MIN_ROWS = 140
 
 MAX_ITERATIONS = 50000  # per attempt; a solve that reaches it reports a timeout
 PIVOT_TOL = 1e-9  # pricing / pivot tolerance on the equilibrated matrix
-FEAS_TOL = 1e-8  # relative phase-1 feasibility threshold
+FEAS_TOL = 1e-8  # relative primal feasibility threshold: phase 1, and the clamp of restoration
 KKT_TOL = 1e-8  # relative residual required to report "optimal"
 REFACTOR_EVERY = 90  # pricing iterations between two refactorizations
 STALL_ITERATIONS = 300  # switch to Bland's rule after this many non-improving pivots
@@ -839,10 +839,11 @@ class _SimplexCore:
         """Repair exact primal infeasibility of a priced-optimal basis.
 
         Solves for the basic solution afresh with the factor's refined solve,
-        without clamping, then runs dual-simplex steps (leaving: most negative
-        basic; entering: dual ratio test, which preserves the nonnegative
-        reduced costs pricing just established) until the exact basic solution
-        is feasible.  The factor is refactorized only once a step is needed.
+        without clamping, then runs dual-simplex steps (leaving: the most
+        negative basic, or the basic whose clamp would break a row; entering:
+        dual ratio test, which preserves the nonnegative reduced costs pricing
+        just established) until the exact basic solution is feasible.  The
+        factor is refactorized only once a step is needed.
         Returns (feasible, pivoted).
         """
         if not self.m:
@@ -853,15 +854,18 @@ class _SimplexCore:
             return False, False
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
-        # noise the final clamp absorbs.
+        # noise the final clamp absorbs, unless clamping it breaks a row.
         scale = 1.0 + float(np.max(np.abs(self.x_b)))
         pivoted = False
         for _ in range(200):
             row = int(np.argmin(self.x_b))
             value = float(self.x_b[row])
             if value >= -1e-8 * scale:
-                np.maximum(self.x_b, 0.0, out=self.x_b)
-                return True, pivoted
+                row = self._clamp_breaks_row()
+                if row is None:
+                    np.maximum(self.x_b, 0.0, out=self.x_b)
+                    return True, pivoted
+                value = float(self.x_b[row])
             if not pivoted and not self.factor.refactor(self.basis):
                 return False, False
             y = self.factor.btran(cost[self.basis])
@@ -882,6 +886,27 @@ class _SimplexCore:
             self._pivot(row, j, self.factor.ftran(j), clamp=False)
             pivoted = True
         return False, pivoted
+
+    def _clamp_breaks_row(self) -> int | None:
+        """The basic whose clamp to zero moves a broken row most, or None if no row breaks.
+
+        Clamping the negative basic values moves each row by ``B min(x_b, 0)``;
+        a row breaks when that exceeds ``FEAS_TOL`` of its own scale
+        ``1 + b_i + |B_i| |x_b|``.  The solution-scale floor alone would let a
+        large basic value elsewhere hide the violation of a small row.
+        """
+        short = np.minimum(self.x_b, 0.0)
+        if not short.any():
+            return None
+        at, entries = self.work.gather(self.basis)
+        rows, vals = self.work.rows[entries], self.work.vals[entries]
+        moved = vals * short[at]
+        shift = np.bincount(rows, weights=moved, minlength=self.m)
+        activity = np.bincount(rows, weights=np.abs(vals * self.x_b[at]), minlength=self.m)
+        broken = np.abs(shift) > FEAS_TOL * (1.0 + self.b + activity)
+        if not broken.any():
+            return None
+        return int(at[np.argmax(np.where(broken[rows], np.abs(moved), 0.0))])
 
     def _close(self, closed: np.ndarray):
         """Reset the columns pricing skips: disallowed and basic ones."""

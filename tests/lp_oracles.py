@@ -519,9 +519,10 @@ class BroadcastSimplexCore:
         """Repair exact primal infeasibility of a priced-optimal basis.
 
         Refactorizes without clamping, then runs dual-simplex steps (leaving:
-        most negative basic; entering: dual ratio test, which preserves the
-        nonnegative reduced costs pricing just established) until the exact
-        basic solution is feasible.  Returns (feasible, pivoted).
+        the most negative basic, or the basic whose clamp would break a row;
+        entering: dual ratio test, which preserves the nonnegative reduced
+        costs pricing just established) until the exact basic solution is
+        feasible.  Returns (feasible, pivoted).
         """
         if not self.m:
             return True, False  # no rows: nothing to restore
@@ -530,15 +531,18 @@ class BroadcastSimplexCore:
         self.x_b = self.solve(self.basis, self.b)
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
-        # noise the final clamp absorbs.
+        # noise the final clamp absorbs, unless clamping it breaks a row.
         scale = 1.0 + float(np.max(np.abs(self.x_b)))
         pivoted = False
         for _ in range(200):
             row = int(np.argmin(self.x_b))
             value = float(self.x_b[row])
             if value >= -1e-8 * scale:
-                np.maximum(self.x_b, 0.0, out=self.x_b)
-                return True, pivoted
+                row = self._clamp_breaks_row()
+                if row is None:
+                    np.maximum(self.x_b, 0.0, out=self.x_b)
+                    return True, pivoted
+                value = float(self.x_b[row])
             y = cost[self.basis] @ self.b_inv
             z = cost - y @ self.a_work
             row_r = self.b_inv[row] @ self.a_work
@@ -558,6 +562,19 @@ class BroadcastSimplexCore:
             self._pivot(row, j, d, clamp=False)
             pivoted = True
         return False, pivoted
+
+    def _clamp_breaks_row(self) -> int | None:
+        """The basic whose clamp to zero moves a broken row most, or None if no row breaks."""
+        short = np.minimum(self.x_b, 0.0)
+        if not short.any():
+            return None
+        block = self.a_work[:, self.basis]
+        moved = block * short
+        activity = np.abs(block * self.x_b).sum(axis=1)
+        broken = np.abs(moved.sum(axis=1)) > simplex_mod.FEAS_TOL * (1.0 + self.b + activity)
+        if not broken.any():
+            return None
+        return int(np.argmax(np.abs(moved[broken]).max(axis=0)))
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
         tol = simplex_mod.PIVOT_TOL

@@ -346,3 +346,27 @@ def test_first_horizon_ordering(doc8, base_scenario):
     h_opt = steps[0].record.h2_mt
     assert dn[0].record.h2_mt <= h_opt + 1e-9
     assert up[0].record.h2_mt >= h_opt - 1e-9
+
+
+def test_cleanup_pin_row_holds_past_a_large_basic_value(doc8, scenario_index, monkeypatch):
+    # The 2035 min cleanup of this scenario ends on a basis whose pin-row
+    # slack solves to -2.35e-6 beside basic values near 3.9e5: below the
+    # solution-scale noise floor, yet clamping it to zero left the target
+    # 0.00235 MWh past the pin.  The restoration must pivot it out instead.
+    real = mga_mod._cheapest_representative
+    cleanups = []
+
+    def capture(budgeted, solution, sense, cost):
+        refined = real(budgeted, solution, sense, cost)
+        cleanups.append((budgeted, solution, refined))
+        return refined
+
+    monkeypatch.setattr(mga_mod, "_cheapest_representative", capture)
+    scenario = scenario_index["ccs-b_biomass-b_imports-b_electrolyser-b_transport-c_weather-a"]
+    list(run_pathways(doc8, [2030, 2035, 2040], scenario, [SlackSpec(0.05, "min")]))
+    assert len(cleanups) == 2
+    for budgeted, extremal, refined in cleanups:
+        assert refined.status == "optimal"
+        h_star = float(budgeted.c @ extremal.x)
+        bound = h_star + mga_mod.PIN_SLACK_REL * abs(h_star) + mga_mod.PIN_SLACK_MWH
+        assert float(budgeted.c @ refined.x) <= bound + 1e-8 * (1.0 + abs(bound))

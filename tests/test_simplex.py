@@ -419,6 +419,38 @@ def test_optimal_solve_refines_one_primal_and_one_dual(doc8, base_scenario, monk
     assert (primal, len(rhs) - primal) == (1, 1)
 
 
+@pytest.mark.parametrize("factor", [simplex_mod._ExplicitInverse, simplex_mod._KernelFactor, None])
+def test_restoration_pivots_out_a_clamp_that_breaks_a_row(factor):
+    # Columns x0, x1, s1, e2, x3.  Rows: x0 = 4e5; x1 + s1 = 0.01;
+    # x1 + x3 - e2 = 0.01 + 2.35e-6.  The basis (x0, s1, x1) is dual feasible
+    # with s1 = -2.35e-6: above the solution-scale floor 1e-8 (1 + 4e5), but
+    # clamping it to zero would break row 1 by 2.35e-6.  ``None`` runs the
+    # byte oracle's restoration.
+    rows = np.array([0, 1, 2, 1, 2, 2])
+    cols = np.array([0, 1, 1, 2, 3, 4])
+    vals = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+    a = simplex_mod._Columns(3, 5, rows, cols, vals)
+    b = np.array([4e5, 0.01, 0.01 + 2.35e-6])
+    cost = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    if factor is None:
+        core = BroadcastSimplexCore(a, b, cost, simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS)
+        core.a_work = a.dense(np.arange(5))
+    else:
+        core = simplex_mod._SimplexCore(a, b, cost, simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS)
+        core.work = a
+    core.basis = np.array([0, 2, 1])
+    if factor is not None:
+        core.factor = factor(a, core.basis, simplex_mod.REFACTOR_EVERY)
+    core.allowed = np.ones(5, dtype=bool)
+    core.is_artificial = np.zeros(5, dtype=bool)
+    assert core._restore_primal(cost) == (True, True)
+    assert core.basis.tolist() == [0, 4, 1]  # x3 entered where s1 left
+    x = np.zeros(5)
+    x[core.basis] = core.x_b
+    assert x.min() >= 0.0
+    np.testing.assert_allclose(a.dense(np.arange(5)) @ x, b, rtol=0, atol=1e-12)
+
+
 def test_retry_sums_phase1_iterations_and_inverses(monkeypatch):
     real = simplex_mod._solve_standardized
     attempts = []
