@@ -34,8 +34,9 @@ FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
 
 # The variables that set the BLAS thread count.  The answer bits depend on it
 # at every LP size whose basis (or kernel) reaches 100 rows: OpenBLAS runs the
-# LU factorization behind np.linalg.inv and np.linalg.solve on several threads
-# from a 100 x 100 matrix on, and the threaded factorization rounds differently.
+# LU factorization behind np.linalg.inv (the explicit basis inverse and the
+# kernel factor's bump) on several threads from a 100 x 100 matrix on, and the
+# threaded factorization rounds differently.
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",

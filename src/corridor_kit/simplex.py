@@ -144,17 +144,6 @@ def _worst(*parts: np.ndarray) -> float:
     return float(np.concatenate(parts).max(initial=0.0))
 
 
-def _refined_solve(a: np.ndarray, b: np.ndarray, steps: int = 2) -> np.ndarray:
-    """LU solve with iterative refinement for componentwise-small residuals."""
-    x = np.linalg.solve(a, b)
-    for _ in range(steps):
-        r = b - a @ x
-        if not np.any(r):
-            break
-        x = x + np.linalg.solve(a, r)
-    return x
-
-
 class _Columns:
     """A sparse matrix held column by column, the standard revised-simplex storage.
 
@@ -176,14 +165,14 @@ class _Columns:
         return at, np.arange(at.size) + (first - np.cumsum(counts) + counts)[at]
 
     def dense(self, cols: np.ndarray) -> np.ndarray:
-        """Columns ``cols`` as a dense m x len(cols) block.
+        """Columns ``cols`` as a dense, row-major m x len(cols) block.
 
-        The block is Fortran-ordered, as a gather ``a[:, cols]`` from a
-        row-major matrix is: the residual ``b - B x`` of a refined solve
-        rounds by the layout of ``B``.
+        Products with the block round by its layout; ``np.linalg.inv``
+        copies its argument into a layout of its own, so an inverse does not
+        depend on it.
         """
         at, entries = self.gather(cols)
-        block = np.zeros((self.m, cols.size), order="F")
+        block = np.zeros((self.m, cols.size))
         block[self.rows[entries], at] = self.vals[entries]
         return block
 
@@ -350,7 +339,7 @@ def _solve_standardized(
     cost_basic = np.zeros(basis.size)
     cost_basic[structural] = std.c_std[basis[structural]]
     try:
-        y_std = core.factor.solve(basis, cost_basic, transpose=True)
+        y_std = _factor_solve(core.factor, basis, cost_basic, transpose=True)
     except np.linalg.LinAlgError:
         return LpSolution(status=STATUS_NUMERICAL, **counts)
     x_std = np.zeros(n_std)
@@ -400,15 +389,13 @@ class _ExplicitInverse:
     The working matrix is held densely.  Pricing is one product with it, an
     FTRAN one product of the inverse with one of its columns, a pivot a
     rank-1 update of the m x m inverse and a refactorization the inverse of
-    the whole basis.
+    the whole basis, the one dense basis this factor gathers.
     """
 
     def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
         self.work, self.m = work, work.m
         self.inverses = 0  # basis inverses computed
-        # C-ordered, as a row-major matrix is: the products round by the
-        # layout, and a Fortran-ordered copy rounds differently.
-        self.dense = np.ascontiguousarray(work.dense(np.arange(work.n)))
+        self.dense = work.dense(np.arange(work.n))
         self.abs_dense = np.abs(self.dense)
         self.b_inv = np.eye(self.m)  # the start basis is the identity
 
@@ -424,11 +411,6 @@ class _ExplicitInverse:
         except np.linalg.LinAlgError:
             return False
         return True
-
-    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``B^-1 v`` (``B^-T v`` with ``transpose``) by a refined LU solve of the dense basis."""
-        block = self.work.dense(basis)
-        return _refined_solve(block.T if transpose else block, v)
 
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
@@ -529,9 +511,7 @@ class _KernelFactor:
     ``C = B[R_U, S]`` is kept as triplets.  A refactorization inverts only
     ``K``, and of ``K`` densely only the bump left once its singletons are
     peeled off (:func:`_peeled_inverse_t`).  Pricing runs over the working
-    matrix's triplets, and the refined solves (:meth:`solve`) run on this
-    factor with residuals over the basis columns' triplets: the kernel path
-    gathers no dense m x m basis.
+    matrix's triplets: the kernel path gathers no dense m x m basis.
 
     Between refactorizations each pivot appends one eta to a product-form
     file, which is applied to a vector in one step.  A pivot on position
@@ -623,37 +603,6 @@ class _KernelFactor:
         x[self.u_pos] = a_u * self.u_sign
         return x
 
-    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``B^-1 v`` (``B^-T v`` with ``transpose``) for the current basis, refined twice.
-
-        FTRAN (BTRAN) with this factor, eta file included, then two steps of
-        iterative refinement with the residual ``v - B x`` over the basis
-        columns' triplets.  Raises ``LinAlgError`` if the refined residual
-        misses ``KKT_TOL`` against the size of ``v`` and ``|B| |x|``.
-        """
-        at, entries = self.work.gather(basis)
-        rows, vals = self.work.rows[entries], self.work.vals[entries]
-        if transpose:
-            apply, into, out = self.btran, at, rows
-        else:
-            apply, into, out = self.ftran, rows, at
-
-        def residual(x):
-            product = vals * x[out]
-            return v - np.bincount(into, weights=product, minlength=self.m), product
-
-        x = apply(v)
-        r, product = residual(x)
-        for _ in range(2):
-            if not np.any(r):
-                break
-            x = x + apply(r)
-            r, product = residual(x)
-        activity = np.bincount(into, weights=np.abs(product), minlength=self.m)
-        if not np.all(np.abs(r) <= KKT_TOL * (1.0 + np.abs(v) + activity)):
-            raise np.linalg.LinAlgError("refined solve did not converge")
-        return x
-
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
         if isinstance(j, np.ndarray):
@@ -717,6 +666,39 @@ class _KernelFactor:
         self.eta_l_inv = l_inv
 
 
+def _factor_solve(factor, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``B^-1 v`` (``B^-T v`` with ``transpose``) for the factor's current basis, refined twice.
+
+    FTRAN (BTRAN) with the factor, then two steps of iterative refinement
+    with the residual ``v - B x`` over the basis columns' triplets in the
+    factor's working matrix.  Raises ``LinAlgError`` if the refined residual
+    misses ``KKT_TOL`` against the size of ``v`` and ``|B| |x|``.
+    """
+    work = factor.work
+    at, entries = work.gather(basis)
+    rows, vals = work.rows[entries], work.vals[entries]
+    if transpose:
+        apply, into, out = factor.btran, at, rows
+    else:
+        apply, into, out = factor.ftran, rows, at
+
+    def residual(x):
+        product = vals * x[out]
+        return v - np.bincount(into, weights=product, minlength=work.m), product
+
+    x = apply(v)
+    r, product = residual(x)
+    for _ in range(2):
+        if not np.any(r):
+            break
+        x = x + apply(r)
+        r, product = residual(x)
+    activity = np.bincount(into, weights=np.abs(product), minlength=work.m)
+    if not np.all(np.abs(r) <= KKT_TOL * (1.0 + np.abs(v) + activity)):
+        raise np.linalg.LinAlgError("refined solve did not converge")
+    return x
+
+
 class _SimplexCore:
     """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``.
 
@@ -727,10 +709,11 @@ class _SimplexCore:
     :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
     (``B^-1 a_j``), ``btran(v)`` (``v B^-1``; a row of ``B^-1`` is
     ``btran(pos)``), ``update(row, d)`` after a pivot and ``refactor(basis)``,
-    prices with ``times_a`` and refines ``solve(basis, v, transpose)``, the
-    solves of the primal restoration, the final polish and the ray check.  A
-    factor starts on the slack/artificial basis, the identity, with room for
-    ``refactor_every`` etas.
+    and prices with ``times_a``.  The solves of the primal restoration, the
+    final polish and the ray check are one function on either factor,
+    :func:`_factor_solve`: its FTRAN or BTRAN, refined with residuals over
+    the working matrix's triplets.  A factor starts on the slack/artificial
+    basis, the identity, with room for ``refactor_every`` etas.
     """
 
     def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
@@ -849,7 +832,7 @@ class _SimplexCore:
         if not self.m:
             return True, False  # no rows: nothing to restore
         try:
-            self.x_b = self.factor.solve(self.basis, self.b)
+            self.x_b = _factor_solve(self.factor, self.basis, self.b)
         except np.linalg.LinAlgError:
             return False, False
         # Negativity below the solution-scale noise floor is genuine basis
@@ -991,7 +974,7 @@ class _SimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = self.factor.solve(self.basis, cost[self.basis], transpose=True)
+                y_acc = _factor_solve(self.factor, self.basis, cost[self.basis], transpose=True)
                 dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude

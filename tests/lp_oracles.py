@@ -28,7 +28,7 @@ from corridor_kit.simplex import (
     STATUS_UNBOUNDED,
     ResidualReport,
     _Columns,
-    _refined_solve,
+    _factor_solve,
     _slack_basis,
 )
 
@@ -396,10 +396,12 @@ class BroadcastSimplexCore:
     It computes what ``_SimplexCore`` on ``_ExplicitInverse`` computes, with
     the basis inverse and the whole working matrix, densified row-major, as
     its own attributes: every pivot updates the inverse with one broadcast
-    m x m outer product.  It also inverts the start basis and the basis before
-    every primal restoration, the two inverses ``_SimplexCore`` skips.  It
-    keeps no phase-1 or inverse counters and reports both as 0.  It is its
-    own ``factor``: the final polish calls its refined ``solve``.
+    m x m outer product.  It also inverts the start basis, the inverse
+    ``_SimplexCore`` skips.  It keeps no phase-1 or inverse counters and
+    reports both as 0.  It is its own ``factor``: its ``ftran`` and
+    ``btran`` of a vector are products with its inverse, and the refined
+    solves of the restoration, the final polish and the ray check are
+    ``_factor_solve`` on them.
     """
 
     phase1_iterations = 0
@@ -422,8 +424,8 @@ class BroadcastSimplexCore:
         missing = np.flatnonzero(basis == -1)
         n_art = missing.size
         basis[missing] = n + np.arange(n_art)
-        work = self.a.with_units(missing)
-        a_work = np.ascontiguousarray(work.dense(np.arange(work.n)))
+        self.work = self.a.with_units(missing)
+        a_work = self.work.dense(np.arange(self.work.n))
         self.a_work = a_work
         self.basis = basis
         self.is_artificial = np.zeros(a_work.shape[1], dtype=bool)
@@ -470,15 +472,21 @@ class BroadcastSimplexCore:
     def factor(self):
         return self
 
-    def solve(self, basis: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``B^-1 v`` (``B^-T v`` with ``transpose``) by a refined LU solve of the dense basis."""
-        block = self.a_work[:, basis]
-        return _refined_solve(block.T if transpose else block, v)
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        return self.b_inv @ v
 
-    def _refactor(self) -> bool:
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.b_inv
+
+    def _invert(self) -> bool:
         try:
             self.b_inv = np.linalg.inv(self.a_work[:, self.basis])
         except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def _refactor(self) -> bool:
+        if not self._invert():
             return False
         self.x_b = self.b_inv @ self.b
         return True
@@ -518,17 +526,20 @@ class BroadcastSimplexCore:
     def _restore_primal(self, cost: np.ndarray) -> tuple[bool, bool]:
         """Repair exact primal infeasibility of a priced-optimal basis.
 
-        Refactorizes without clamping, then runs dual-simplex steps (leaving:
-        the most negative basic, or the basic whose clamp would break a row;
+        Solves for the basic solution afresh with the current inverse,
+        refined, without clamping, then runs dual-simplex steps (leaving: the
+        most negative basic, or the basic whose clamp would break a row;
         entering: dual ratio test, which preserves the nonnegative reduced
         costs pricing just established) until the exact basic solution is
-        feasible.  Returns (feasible, pivoted).
+        feasible.  The basis is inverted only once a step is needed.
+        Returns (feasible, pivoted).
         """
         if not self.m:
             return True, False  # no rows: nothing to restore
-        if not self._refactor():
+        try:
+            self.x_b = _factor_solve(self, self.basis, self.b)
+        except np.linalg.LinAlgError:
             return False, False
-        self.x_b = self.solve(self.basis, self.b)
         # Negativity below the solution-scale noise floor is genuine basis
         # infeasibility left by degenerate churn; anything shallower is solve
         # noise the final clamp absorbs, unless clamping it breaks a row.
@@ -543,6 +554,8 @@ class BroadcastSimplexCore:
                     np.maximum(self.x_b, 0.0, out=self.x_b)
                     return True, pivoted
                 value = float(self.x_b[row])
+            if not pivoted and not self._invert():
+                return False, False
             y = cost[self.basis] @ self.b_inv
             z = cost - y @ self.a_work
             row_r = self.b_inv[row] @ self.a_work
@@ -653,7 +666,7 @@ class BroadcastSimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = self.solve(self.basis, cost[self.basis], transpose=True)
+                y_acc = _factor_solve(self, self.basis, cost[self.basis], transpose=True)
                 z_acc = cost[j] - float(y_acc @ self.a_work[:, j])
                 noise_j = 1.0 + float(np.abs(y_acc) @ abs_a[:, j])
                 if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):

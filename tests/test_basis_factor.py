@@ -5,7 +5,8 @@ on.  Its pivot path differs from the explicit inverse's, so it is held to
 tolerances here, not to bytes: its peeled kernel inverse against
 ``np.linalg.inv``, its FTRAN, BTRAN and refined solves against dense solves of
 the same basis, and its LP solves against the explicit-inverse path and the
-vertex oracle.
+vertex oracle.  The refined solve is one function on both factors; that it
+raises when refinement fails is checked on both.
 """
 
 import os
@@ -26,6 +27,8 @@ from corridor_kit.pathway import phase_out
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import (
     REFACTOR_EVERY,
+    _ExplicitInverse,
+    _factor_solve,
     _KernelFactor,
     _peeled_inverse_t,
     _slack_basis,
@@ -100,8 +103,8 @@ def _assert_solves(factor, basis, working, rng):
     for v in (rng.standard_normal(b.shape[0]), working[:, int(rng.integers(working.shape[1]))]):
         _assert_close(factor.ftran(v.copy()), np.linalg.solve(b, v))
         _assert_close(factor.btran(v.copy()), np.linalg.solve(b.T, v))
-        _assert_close(factor.solve(basis, v), np.linalg.solve(b, v))
-        _assert_close(factor.solve(basis, v, transpose=True), np.linalg.solve(b.T, v))
+        _assert_close(_factor_solve(factor, basis, v), np.linalg.solve(b, v))
+        _assert_close(_factor_solve(factor, basis, v, transpose=True), np.linalg.solve(b.T, v))
     j = int(rng.integers(working.shape[1]))
     _assert_close(factor.ftran(j), np.linalg.solve(b, working[:, j]))
     pos = int(rng.integers(b.shape[0]))
@@ -139,19 +142,21 @@ def test_kernel_factor_grows_past_refactor_every():
 
 
 def test_refined_solve_raises_when_refinement_does_not_converge():
-    rng = np.random.default_rng(5)
-    n, basis, working = _working_matrix(80, rng)
-    factor = _KernelFactor(columns_of(working), basis.copy(), REFACTOR_EVERY)
-    _pivot_randomly(factor, basis, working, n, 30, rng)
-    assert factor.refactor(basis) and factor.k_inv_t.size
-    v = rng.standard_normal(80)
-    factor.solve(basis, v)
-    # With twice the kernel inverse, each step overshoots by the whole
-    # residual: the refinement oscillates instead of converging.
-    factor.k_inv_t *= 2.0
-    for transpose in (False, True):
-        with pytest.raises(np.linalg.LinAlgError):
-            factor.solve(basis, v, transpose)
+    for kind, inverse in ((_KernelFactor, "k_inv_t"), (_ExplicitInverse, "b_inv")):
+        rng = np.random.default_rng(5)
+        n, basis, working = _working_matrix(80, rng)
+        factor = kind(columns_of(working), basis.copy(), REFACTOR_EVERY)
+        _pivot_randomly(factor, basis, working, n, 30, rng)
+        assert factor.refactor(basis) and getattr(factor, inverse).size
+        v = rng.standard_normal(80)
+        for transpose in (False, True):
+            _factor_solve(factor, basis, v, transpose)
+        # With twice the (kernel) inverse, each step overshoots by the whole
+        # residual: the refinement oscillates instead of converging.
+        getattr(factor, inverse)[:] *= 2.0
+        for transpose in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                _factor_solve(factor, basis, v, transpose)
 
 
 def _planted_kernel(n_col: int, n_bump: int, n_row: int, seed: int) -> np.ndarray:

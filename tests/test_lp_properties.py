@@ -75,8 +75,8 @@ def test_standardizer_bit_identical_to_loop_oracle(problem):
 @given(lps(), st.data())
 def test_dense_columns_are_the_oracles_columns(problem, data):
     # Any columns of the working matrix, artificial unit columns included,
-    # gathered as a Fortran-ordered block: the layout of a gather a[:, cols]
-    # from a row-major matrix, by which the refined solves' residuals round.
+    # gathered as a row-major block, the layout of the oracle's matrix, by
+    # which the explicit inverse's products round.
     loop = LoopStandardizer(problem)
     m = loop.a_std.shape[0]
     units = np.array(data.draw(st.lists(st.integers(0, m - 1), unique=True)), dtype=np.int64)
@@ -84,7 +84,7 @@ def test_dense_columns_are_the_oracles_columns(problem, data):
     want = np.hstack([loop.a_std, np.eye(m)[:, np.sort(units)]])
     cols = np.array(data.draw(st.lists(st.integers(0, work.n - 1), max_size=2 * work.n)), dtype=np.int64)
     block = work.dense(cols)
-    assert block.shape == (m, cols.size) and block.flags.f_contiguous
+    assert block.shape == (m, cols.size) and block.flags.c_contiguous
     # Only the sign of a zero may differ: the oracle's flipped rows hold -0.
     assert (block + 0.0).tobytes() == (want[:, cols] + 0.0).tobytes()
 

@@ -386,14 +386,14 @@ def _count_inverses(problem):
     return sol, len(calls)
 
 
-def test_fixture_solve_skips_two_discarded_inverses(doc8, base_scenario):
+def test_fixture_solve_skips_the_start_basis_inverse(doc8, base_scenario):
     problem = _doc8_2030(doc8, base_scenario)
     with explicit_inverse():
         sol, calls = _count_inverses(problem)
     with mock.patch.object(simplex_mod, "_SimplexCore", BroadcastSimplexCore):
         _, broadcast_calls = _count_inverses(problem)
     assert sol.status == "optimal"
-    assert sol.inverses == calls == broadcast_calls - 2
+    assert sol.inverses == calls == broadcast_calls - 1
     assert 0 < sol.phase1_iterations < sol.iterations
 
 
@@ -404,19 +404,54 @@ def test_optimal_solve_refines_one_primal_and_one_dual(doc8, base_scenario, monk
     b_std = simplex_mod._Standardizer(problem).b_std
     rhs = []
 
-    def counting(real):
-        def solve_and_count(self, basis, v, transpose=False):
-            rhs.append(v)
-            return real(self, basis, v, transpose)
+    real = simplex_mod._factor_solve
 
-        return solve_and_count
+    def solve_and_count(factor, basis, v, transpose=False):
+        rhs.append(v)
+        return real(factor, basis, v, transpose)
 
-    # Every refined solve goes through the basis factor's solve.
-    for factor in (simplex_mod._ExplicitInverse, simplex_mod._KernelFactor):
-        monkeypatch.setattr(factor, "solve", counting(factor.solve))
+    # Every refined solve, on either basis factor, goes through _factor_solve.
+    monkeypatch.setattr(simplex_mod, "_factor_solve", solve_and_count)
     assert solve(problem).status == "optimal"
     primal = sum(np.array_equal(b, b_std) for b in rhs)
     assert (primal, len(rhs) - primal) == (1, 1)
+
+
+def test_no_solve_path_calls_a_dense_lu_solve(fixture_doc, doc8, base_scenario, monkeypatch):
+    # The 2-snapshot LP takes the explicit inverse, the 8-snapshot LP the
+    # kernel factor, and the unbounded LP reaches the ray check on both.
+    small = _doc8_2030(reduce_document(fixture_doc, 2), base_scenario)
+    large = _doc8_2030(doc8, base_scenario)
+    assert simplex_mod._Standardizer(small).columns.m < simplex_mod._KERNEL_MIN_ROWS
+    assert simplex_mod._Standardizer(large).columns.m >= simplex_mod._KERNEL_MIN_ROWS
+    # min -x  s.t.  x - y <= 1: once x is basic, y enters on an unbounded ray.
+    bld = LpBuilder()
+    x = bld.add_col("x", cost=-1.0)
+    y = bld.add_col("y", cost=0.0)
+    row = bld.add_row("gap", "le", 1.0)
+    bld.add_entry(row, x, 1.0)
+    bld.add_entry(row, y, -1.0)
+    ray = bld.build()
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called on the solve path")
+
+    real = simplex_mod._factor_solve
+    transposed = []
+
+    def spy(factor, basis, v, transpose=False):
+        transposed.append(transpose)
+        return real(factor, basis, v, transpose)
+
+    monkeypatch.setattr(np.linalg, "solve", no_lu)
+    monkeypatch.setattr(simplex_mod, "_factor_solve", spy)
+    for problem in (small, large):
+        assert solve(problem).status == "optimal"
+    for kernel_min_rows in (simplex_mod._KERNEL_MIN_ROWS, 0):
+        transposed.clear()
+        with mock.patch.object(simplex_mod, "_KERNEL_MIN_ROWS", kernel_min_rows):
+            assert solve(ray).status == "unbounded"
+        assert True in transposed  # only the ray check solves transposed before an unbounded status
 
 
 @pytest.mark.parametrize("factor", [simplex_mod._ExplicitInverse, simplex_mod._KernelFactor, None])
@@ -437,10 +472,14 @@ def test_restoration_pivots_out_a_clamp_that_breaks_a_row(factor):
         core.a_work = a.dense(np.arange(5))
     else:
         core = simplex_mod._SimplexCore(a, b, cost, simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS)
-        core.work = a
+    core.work = a
     core.basis = np.array([0, 2, 1])
-    if factor is not None:
+    # Neither the oracle nor a factor starts on this basis, which is not the identity.
+    if factor is None:
+        assert core._invert()
+    else:
         core.factor = factor(a, core.basis, simplex_mod.REFACTOR_EVERY)
+        assert core.factor.refactor(core.basis)
     core.allowed = np.ones(5, dtype=bool)
     core.is_artificial = np.zeros(5, dtype=bool)
     assert core._restore_primal(cost) == (True, True)
