@@ -56,7 +56,7 @@ class ResidualReport:
     complementarity: float
     gap: float
 
-    def passes(self, tol: float = 1e-8) -> bool:
+    def passes(self, tol: float = KKT_TOL) -> bool:
         return max(self.primal, self.dual, self.complementarity, self.gap) <= tol
 
     def worst(self) -> float:
