@@ -5,17 +5,21 @@ collector in the parent process orders and writes all records, so stores are
 byte-identical regardless of the worker count.  Failed solves are first-class
 records, and so is a step that raises: it becomes a ``worker_error`` record
 at its own horizon, its pathway keeps its earlier horizons, and the other
-pathways run on.  The tracebacks are logged and kept in the store.
+pathways run on.  The tracebacks are logged and kept in the store.  Every
+process that solves, the pool's workers or the caller's own for one worker,
+runs numpy's bundled OpenBLAS on one thread, so the answer bits depend on
+neither the worker count nor the host's core count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,7 +40,9 @@ FLOW_COLUMNS = ["carrier", "bus", "asset_id", "instance_id", "annual_mwh"]
 # at every LP size whose basis (or kernel) reaches 100 rows: OpenBLAS runs the
 # LU factorization behind np.linalg.inv (the explicit basis inverse and the
 # kernel factor's bump) on several threads from a 100 x 100 matrix on, and the
-# threaded factorization rounds differently.
+# threaded factorization rounds differently.  run_matrix pins the library to
+# one thread itself where numpy bundles OpenBLAS; the manifest records the
+# variables and the count the library reports.
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -46,13 +52,70 @@ BLAS_THREAD_VARS = (
 )
 
 
+@functools.cache
+def _openblas():
+    """The set and get thread-count functions of numpy's bundled OpenBLAS, or None for another BLAS.
+
+    Looked up on first use, through ctypes: the library is already loaded
+    with numpy, and opening it again returns the same one.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+            set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS reports in this process; None for another BLAS."""
+    lib = _openblas()
+    return None if lib is None else int(lib[1]())
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set the thread count of numpy's bundled OpenBLAS; another BLAS is left alone."""
+    lib = _openblas()
+    if lib is not None:
+        lib[0](count)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Solve on one BLAS thread, and give the caller back its own count afterwards."""
+    before = blas_threads()
+    _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
 def _provenance() -> dict:
-    """This process's numerical environment: numpy, its BLAS and the BLAS thread variables."""
+    """The numerical environment: numpy, its BLAS, the BLAS thread variables and the solving thread count.
+
+    ``solve_blas_threads`` is the count the library reports on one thread,
+    as every process that :func:`run_matrix` solves in runs; it is None
+    where numpy's BLAS is not its bundled OpenBLAS, whose threads are then
+    left as they are.
+    """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    with _one_blas_thread():
+        threads = blas_threads()
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "solve_blas_threads": threads,
     }
 
 
@@ -228,7 +291,9 @@ def run_matrix(
 
     At most ``len(scenarios) * len(horizons) * (1 + 2 * len(epsilons))``
     records are produced (aborted pathways yield fewer); every failure is
-    recorded with its status rather than dropped.
+    recorded with its status rather than dropped.  The solves run on one
+    BLAS thread (:func:`_one_blas_thread`, and the pool's initializer); the
+    caller's own thread count is restored afterwards.
     """
     store = None
     if out_dir is not None:
@@ -251,9 +316,12 @@ def run_matrix(
     ]
     outcomes: list[ScenarioOutcome]
     if jobs <= 1 or len(tasks) <= 1:
-        outcomes = [_worker(task) for task in tasks]
+        with _one_blas_thread():
+            outcomes = [_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when it is used
+
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_worker, tasks))
 
     records: list[PathwayRecord] = []

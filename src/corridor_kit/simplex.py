@@ -524,7 +524,14 @@ class _KernelFactor:
     pivot sets again.  ``L^-1`` is kept explicitly and grows by one row per
     pivot.  A pivoted entry thus takes its value from its own pivot, never as
     the difference of two large terms, whose rounding would leave noise where
-    a degenerate position should read exactly zero.
+    a degenerate position should read exactly zero.  The first pivots are
+    also listed apart, position and eta index, for the right-hand side.
+
+    Each refactorization also lays out every working column's entries
+    kernel rows first, then unit rows, each part in row order, with each
+    entry's slot among the kernel or the unit rows.  FTRAN of a working
+    column then reads two slices and skips the coupling block when the
+    column has no kernel entry.
     """
 
     def __init__(self, work: _Columns, basis: np.ndarray, etas: int):
@@ -533,12 +540,14 @@ class _KernelFactor:
         self.inverses = 0  # refactorizations with a nonempty kernel
         self.abs_vals = np.abs(work.vals)
         self.unit_row, self.unit_sign = _unit_columns(work)
-        # The eta file: N transposed (one row per pivot), L^-1, pivot positions
-        # and whether each is the first pivot on its position.
+        self.entry_col_start = work.start[work.cols]  # each entry's column start
+        # The eta file: N transposed (one row per pivot), L^-1 and the pivot
+        # positions; the first pivot on each position, its position and eta.
         self.eta_n = np.zeros((etas, m))
         self.eta_l_inv = np.zeros((etas, etas))
         self.eta_pos = np.zeros(etas, dtype=np.int64)
-        self.eta_first = np.zeros(etas, dtype=bool)
+        self.first_pos = np.zeros(etas, dtype=np.int64)
+        self.first_eta = np.zeros(etas, dtype=np.int64)
         self.pivoted = np.zeros(m, dtype=bool)
         self.refactor(basis)  # all unit columns: no inverse to compute
 
@@ -556,7 +565,7 @@ class _KernelFactor:
         singular kernel (see :func:`_peeled_inverse_t`).
         """
         m = self.m
-        self.etas = 0
+        self.etas = self.firsts = 0
         self.pivoted[:] = False
         sign = self.unit_sign[basis]
         unit = sign != 0.0
@@ -568,13 +577,14 @@ class _KernelFactor:
         if s_rows.size != s_pos.size:
             return False
         # Each row's index among the kernel rows or among the unit rows.
-        self.slot = np.empty(m, dtype=np.int64)
-        self.slot[s_rows] = np.arange(s_rows.size)
-        self.slot[u_rows] = np.arange(u_rows.size)
+        row_slot = np.empty(m, dtype=np.int64)
+        row_slot[s_rows] = np.arange(s_rows.size)
+        row_slot[u_rows] = np.arange(u_rows.size)
         # The kernel columns' entries, split into K and the coupling block C.
-        col, entries = self.work.gather(basis[s_pos])
-        rows, vals = self.work.rows[entries], self.work.vals[entries]
-        slot, in_k = self.slot[rows], kernel_row[rows]
+        work = self.work
+        col, entries = work.gather(basis[s_pos])
+        rows, vals = work.rows[entries], work.vals[entries]
+        slot, in_k = row_slot[rows], kernel_row[rows]
         if s_pos.size:
             self.inverses += 1
             try:
@@ -588,47 +598,79 @@ class _KernelFactor:
         self.c_row, self.c_col, self.c_val = slot[coupled], col[coupled], vals[coupled]
         self.u_pos, self.u_rows, self.u_sign = u_pos, u_rows, sign[u_pos]
         self.s_pos, self.s_rows = s_pos, s_rows
-        self.kernel_row = kernel_row
+        self._split_columns(kernel_row, row_slot)
         return True
 
-    def _solve(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """``B0^-1 a`` for the refactorized basis ``B0`` and ``a`` given by its nonzeros."""
-        in_k = self.kernel_row[rows]
-        x_s = vals[in_k] @ self.k_inv_t[self.slot[rows[in_k]]]
-        a_u = np.zeros(self.u_pos.size)
-        a_u[self.slot[rows[~in_k]]] = vals[~in_k]
-        a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
-        x = np.empty(self.m)
-        x[self.s_pos] = x_s
-        x[self.u_pos] = a_u * self.u_sign
-        return x
+    def _split_columns(self, kernel_row: np.ndarray, row_slot: np.ndarray):
+        """Lay out each working column's kernel-row entries before its unit-row entries.
+
+        Column ``j``'s kernel entries become ``f_vals[start[j]:f_split[j]]``
+        and its unit entries ``f_vals[f_split[j]:start[j + 1]]``, each part
+        in row order, with each entry's slot in ``f_slot``.  The partition is
+        stable within each column: an entry moves by the count of entries of
+        the other part that it passes.
+        """
+        work = self.work
+        if not self.s_pos.size:  # all unit rows: the working order as it is
+            self.f_vals, self.f_slot, self.f_split = work.vals, row_slot[work.rows], work.start
+            return
+        in_k = kernel_row[work.rows]
+        before = np.zeros(in_k.size + 1, dtype=np.int64)  # kernel entries before each entry
+        np.cumsum(in_k, out=before[1:])
+        col_before = before[work.start]  # kernel entries before each column
+        before = before[:-1]
+        at_kernel = self.entry_col_start + (before - col_before[work.cols])
+        at_unit = np.arange(in_k.size) + (col_before[work.cols + 1] - before)
+        at = np.where(in_k, at_kernel, at_unit)
+        self.f_vals = np.empty_like(work.vals)
+        self.f_vals[at] = work.vals
+        self.f_slot = np.empty_like(work.rows)
+        self.f_slot[at] = row_slot[work.rows]
+        self.f_split = work.start[:-1] + np.diff(col_before)
 
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
+        x = np.empty(self.m)
         if isinstance(j, np.ndarray):
-            x = self._solve(np.arange(self.m), j)
+            x_s = j[self.s_rows] @ self.k_inv_t
+            a_u = j[self.u_rows]
+            a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
+            x[self.s_pos] = x_s
         else:
-            work = self.work
-            span = slice(work.start[j], work.start[j + 1])
-            x = self._solve(work.rows[span], work.vals[span])
+            start, split, end = self.work.start[j], self.f_split[j], self.work.start[j + 1]
+            a_u = np.zeros(self.u_pos.size)
+            a_u[self.f_slot[split:end]] = self.f_vals[split:end]
+            if start < split:
+                x_s = self.f_vals[start:split] @ self.k_inv_t.take(self.f_slot[start:split], axis=0)
+                a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
+                x[self.s_pos] = x_s
+            else:  # no kernel entry: x_s is +0, and its coupling would subtract +0
+                x[self.s_pos] = 0.0
+        x[self.u_pos] = a_u * self.u_sign
         k = self.etas
         if k:
             pos = self.eta_pos[:k]
-            t = self.eta_l_inv[:k, :k] @ np.where(self.eta_first[:k], x[pos], 0.0)
+            first = self.first_pos[: self.firsts]
+            rhs = np.zeros(k)
+            rhs[self.first_eta[: self.firsts]] = x[first]
+            t = self.eta_l_inv[:k, :k] @ rhs
             x[pos] = 0.0
             x += t @ self.eta_n[:k]
         return x
 
     def btran(self, v: int | np.ndarray) -> np.ndarray:
         """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position."""
-        if not isinstance(v, np.ndarray):
-            v = np.eye(1, self.m, v)[0]
         k = self.etas
+        if isinstance(v, np.ndarray):
+            if k:
+                v = v.copy()
+        else:
+            pos, v = v, np.zeros(self.m)
+            v[pos] = 1.0
         if k:
-            first = self.eta_first[:k]
             s = (self.eta_n[:k] @ v) @ self.eta_l_inv[:k, :k]
-            v = v.copy()
-            v[self.eta_pos[:k][first]] = s[first]  # every pivoted position has one first pivot
+            # Every pivoted position has one first pivot.
+            v[self.first_pos[: self.firsts]] = s[self.first_eta[: self.firsts]]
         y = np.empty(self.m)
         y_u = v[self.u_pos] * self.u_sign
         y[self.u_rows] = y_u
@@ -645,22 +687,24 @@ class _KernelFactor:
         n_t = self.eta_n
         if k:
             # Row k of L is -N[row, :k]; L^-1 grows by the matching row.
-            self.eta_l_inv[k, :k] = n_t[:k, row] @ self.eta_l_inv[:k, :k]
-            self.eta_l_inv[k, :k] /= piv
+            np.divide(n_t[:k, row] @ self.eta_l_inv[:k, :k], piv, out=self.eta_l_inv[k, :k])
             n_t[:k, row] = 0.0
         self.eta_l_inv[k, k] = 1.0 / piv
         np.negative(d, out=n_t[k])
         n_t[k, row] = 1.0
         self.eta_pos[k] = row
-        self.eta_first[k] = not self.pivoted[row]
-        self.pivoted[row] = True
+        if not self.pivoted[row]:
+            self.pivoted[row] = True
+            self.first_pos[self.firsts], self.first_eta[self.firsts] = row, k
+            self.firsts += 1
         self.etas = k + 1
 
     def _grow(self):
         k = self.eta_pos.size
         self.eta_n = np.concatenate([self.eta_n, np.zeros((k, self.m))])
-        self.eta_pos = np.concatenate([self.eta_pos, np.zeros(k, dtype=np.int64)])
-        self.eta_first = np.concatenate([self.eta_first, np.zeros(k, dtype=bool)])
+        self.eta_pos, self.first_pos, self.first_eta = (
+            np.concatenate([a, np.zeros(k, dtype=np.int64)]) for a in (self.eta_pos, self.first_pos, self.first_eta)
+        )
         l_inv = np.zeros((2 * k, 2 * k))
         l_inv[:k, :k] = self.eta_l_inv
         self.eta_l_inv = l_inv
@@ -916,6 +960,8 @@ class _SimplexCore:
         self._close(closed)
         z = np.empty(cost.size)
         score = np.empty(cost.size)
+        basis, factor = self.basis, self.factor  # both kept for the whole solve
+        ftran, btran, times_a = factor.ftran, factor.btran, factor.times_a
 
         while True:
             if self.iterations >= MAX_ITERATIONS:
@@ -929,18 +975,18 @@ class _SimplexCore:
                 since_refactor = 0
                 self._close(closed)
 
-            y = self.factor.btran(cost[self.basis])
+            y = btran(cost[basis])
             # The noise floor |y|.|A_j| drifts slowly; refreshing it every few
             # iterations halves the pricing cost without affecting the rule.
             since_noise += 1
             if since_noise >= 16 or noise is None:
-                noise = self.factor.times_a(np.abs(y), magnitude=True)
+                noise = times_a(np.abs(y), magnitude=True)
                 thr = tol * denom + 1e-12 * (1.0 + noise)
                 since_noise = 0
-            np.subtract(cost, self.factor.times_a(y), out=z)
+            np.subtract(cost, times_a(y), out=z)
             np.add(z, thr, out=score)
             np.divide(score, denom, out=score)  # eligible iff score < 0
-            score[closed] = np.inf
+            np.putmask(score, closed, np.inf)
 
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
@@ -958,8 +1004,8 @@ class _SimplexCore:
                         continue
                     return None
 
-            d = self.factor.ftran(j)
-            pos = np.nonzero(d > tol)[0]
+            d = ftran(j)
+            pos = (d > tol).nonzero()[0]
             if pos.size == 0:
                 # Rule out factorization drift before declaring unboundedness.
                 if not ray_verified:
@@ -974,7 +1020,7 @@ class _SimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _factor_solve(self.factor, self.basis, cost[self.basis], transpose=True)
+                y_acc = _factor_solve(factor, basis, cost[basis], transpose=True)
                 dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude
@@ -984,24 +1030,19 @@ class _SimplexCore:
                     continue
                 return STATUS_UNBOUNDED if phase == 2 else STATUS_NUMERICAL
             ray_verified = False
-            ratios = self.x_b[pos]
-            ratios /= d[pos]
-            theta = float(ratios.min())
+            ratios = self.x_b[pos] / d[pos]
+            theta = float(ratios[ratios.argmin()])
             tie = pos[ratios <= theta + 1e-9 * (1.0 + abs(theta))]
             if tie.size == 1:
                 row = int(tie[0])
             elif bland:
-                row = int(tie[np.argmin(self.basis[tie])])
+                row = int(tie[np.argmin(basis[tie])])
             else:
-                # Prefer a well-sized pivot among (near-)tied ratios; tiny
+                # Prefer the largest pivot among (near-)tied ratios; tiny
                 # pivots degrade the basis conditioning under degeneracy.
-                d_tie = d[tie]
-                solid = d_tie >= 1e-7
-                if solid.any():
-                    tie, d_tie = tie[solid], d_tie[solid]
-                row = int(tie[np.argmax(d_tie)])
+                row = int(tie[np.argmax(d[tie])])
 
-            leaving = self.basis[row]
+            leaving = basis[row]
             self._pivot(row, j, d)
             # A basic column is never banned, so only a disallowed one stays closed.
             closed[leaving] = not self.allowed[leaving]
@@ -1009,7 +1050,7 @@ class _SimplexCore:
 
             stall += 1
             if stall % 4 == 0 or stall > self.stall_iterations:
-                obj = float(cost[self.basis] @ self.x_b)
+                obj = float(cost[basis] @ self.x_b)
                 if obj < best_obj - tol * (1.0 + abs(best_obj)):
                     best_obj = obj
                     stall = 0

@@ -5,8 +5,10 @@ without rows or without columns, this keeps the row-by-row
 reference versions of KKT verification and standardization, against which
 the vectorized ones in :mod:`corridor_kit.simplex` are property-tested, the
 simplex core with its explicit inverse written inline, against which the
-solver on ``_ExplicitInverse`` must give the same bytes, and the LP file
-writer over the dense matrix.
+solver on ``_ExplicitInverse`` must give the same bytes, the kernel
+factor's solves in their row-masking form, against which its FTRAN and
+BTRAN must give the same bytes, and the LP file writer over the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -700,3 +702,103 @@ class BroadcastSimplexCore:
                     bland = False
                 elif stall > self.stall_iterations:
                     bland = True
+
+
+class KernelSolvesReference:
+    """``_KernelFactor``'s FTRAN, BTRAN and eta update in their row-masking form: their byte reference.
+
+    It reads the factor's refactorization (the kernel inverse, the coupling
+    block and the unit columns) and keeps its own eta file.  FTRAN of a
+    working column masks the column's rows into kernel and unit rows, as the
+    vector FTRAN masks every row; the first pivot on each position is a flag
+    per eta, and BTRAN masks the pivot positions by it.  Call
+    :meth:`refactored` after each refactorization of the factor.
+    """
+
+    def __init__(self, factor, etas: int):
+        self.factor = factor
+        m = factor.m
+        self.eta_n = np.zeros((etas, m))
+        self.eta_l_inv = np.zeros((etas, etas))
+        self.eta_pos = np.zeros(etas, dtype=np.int64)
+        self.eta_first = np.zeros(etas, dtype=bool)
+        self.pivoted = np.zeros(m, dtype=bool)
+        self.refactored()
+
+    def refactored(self):
+        f = self.factor
+        self.etas = 0
+        self.pivoted[:] = False
+        self.kernel_row = np.ones(f.m, dtype=bool)
+        self.kernel_row[f.u_rows] = False
+        self.slot = np.empty(f.m, dtype=np.int64)
+        self.slot[f.s_rows] = np.arange(f.s_rows.size)
+        self.slot[f.u_rows] = np.arange(f.u_rows.size)
+
+    def _solve(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        f = self.factor
+        in_k = self.kernel_row[rows]
+        x_s = vals[in_k] @ f.k_inv_t[self.slot[rows[in_k]]]
+        a_u = np.zeros(f.u_pos.size)
+        a_u[self.slot[rows[~in_k]]] = vals[~in_k]
+        a_u -= np.bincount(f.c_row, weights=f.c_val * x_s[f.c_col], minlength=a_u.size)
+        x = np.empty(f.m)
+        x[f.s_pos] = x_s
+        x[f.u_pos] = a_u * f.u_sign
+        return x
+
+    def ftran(self, j) -> np.ndarray:
+        f = self.factor
+        if isinstance(j, np.ndarray):
+            x = self._solve(np.arange(f.m), j)
+        else:
+            span = slice(f.work.start[j], f.work.start[j + 1])
+            x = self._solve(f.work.rows[span], f.work.vals[span])
+        k = self.etas
+        if k:
+            pos = self.eta_pos[:k]
+            t = self.eta_l_inv[:k, :k] @ np.where(self.eta_first[:k], x[pos], 0.0)
+            x[pos] = 0.0
+            x += t @ self.eta_n[:k]
+        return x
+
+    def btran(self, v) -> np.ndarray:
+        f = self.factor
+        if not isinstance(v, np.ndarray):
+            v = np.eye(1, f.m, v)[0]
+        k = self.etas
+        if k:
+            first = self.eta_first[:k]
+            s = (self.eta_n[:k] @ v) @ self.eta_l_inv[:k, :k]
+            v = v.copy()
+            v[self.eta_pos[:k][first]] = s[first]
+        y = np.empty(f.m)
+        y_u = v[f.u_pos] * f.u_sign
+        y[f.u_rows] = y_u
+        coupled = np.bincount(f.c_col, weights=f.c_val * y_u[f.c_row], minlength=f.s_pos.size)
+        y[f.s_rows] = f.k_inv_t @ (v[f.s_pos] - coupled)
+        return y
+
+    def update(self, row: int, d: np.ndarray):
+        k = self.etas
+        if k == self.eta_pos.size:
+            size = self.eta_pos.size
+            self.eta_n = np.concatenate([self.eta_n, np.zeros((size, self.factor.m))])
+            self.eta_pos = np.concatenate([self.eta_pos, np.zeros(size, dtype=np.int64)])
+            self.eta_first = np.concatenate([self.eta_first, np.zeros(size, dtype=bool)])
+            l_inv = np.zeros((2 * size, 2 * size))
+            l_inv[:size, :size] = self.eta_l_inv
+            self.eta_l_inv = l_inv
+        piv = d[row]
+        n_t = self.eta_n
+        if k:
+            self.eta_l_inv[k, :k] = n_t[:k, row] @ self.eta_l_inv[:k, :k]
+            self.eta_l_inv[k, :k] /= piv
+            n_t[:k, row] = 0.0
+        self.eta_l_inv[k, k] = 1.0 / piv
+        np.negative(d, out=n_t[k])
+        n_t[k, row] = 1.0
+        self.eta_pos[k] = row
+        self.eta_first[k] = not self.pivoted[row]
+        self.pivoted[row] = True
+        self.etas = k + 1

@@ -38,6 +38,7 @@ from corridor_kit.simplex import (
 from corridor_kit.translate import translate
 
 from lp_oracles import (
+    KernelSolvesReference,
     artificial_heavy_problem,
     columns_of,
     enumerate_vertices_minimum,
@@ -139,6 +140,65 @@ def test_kernel_factor_grows_past_refactor_every():
     _pivot_randomly(factor, basis, working, n, 13, rng)
     assert factor.etas == 13
     _assert_solves(factor, basis, working, rng)
+
+
+def _assert_reference_bytes(factor, reference, working, rng):
+    """FTRAN of every working column and of vectors, and BTRAN of vectors and positions, byte for byte."""
+    m, n = working.shape
+    for j in range(n):
+        assert factor.ftran(j).tobytes() == reference.ftran(j).tobytes()
+    sparse = np.where(rng.random(m) < 0.7, 0.0, rng.standard_normal(m))
+    for v in (rng.standard_normal(m), sparse, -sparse, working[:, int(rng.integers(n))].copy()):
+        assert factor.ftran(v.copy()).tobytes() == reference.ftran(v.copy()).tobytes()
+        assert factor.btran(v.copy()).tobytes() == reference.btran(v.copy()).tobytes()
+    for pos in rng.choice(m, size=min(m, 4), replace=False):
+        assert factor.btran(int(pos)).tobytes() == reference.btran(int(pos)).tobytes()
+
+
+def _pivot_both(factor, reference, basis, n, count, repeat, rng):
+    """``count`` pivots on well-sized entries; with ``repeat``, on the last pivot's position where it is well-sized."""
+    row = None
+    for _ in range(count):
+        j = int(rng.choice(np.setdiff1d(np.arange(n), basis)))
+        d = factor.ftran(j)
+        assert d.tobytes() == reference.ftran(j).tobytes()
+        scale = np.abs(d).max()
+        if scale == 0.0:
+            continue
+        if not (repeat and row is not None and abs(d[row]) >= 0.1 * scale):
+            row = int(rng.choice(np.flatnonzero(np.abs(d) >= 0.5 * scale)))
+        factor.update(row, d)
+        reference.update(row, d.copy())
+        basis[row] = j
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(6, 120),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+    st.integers(0, REFACTOR_EVERY + 12),
+    st.booleans(),
+)
+@example(m=40, seed=5, before=3, after=REFACTOR_EVERY + 8, repeat=True)  # the eta file grows
+@example(m=6, seed=0, before=0, after=0, repeat=False)
+def test_kernel_solves_keep_the_reference_bytes(m, seed, before, after, repeat):
+    # The start basis is all unit columns: an empty kernel, and no working
+    # column has a kernel entry.  After the refactorization the kernel is
+    # nonempty and the slacks on unit rows still have none.
+    rng = np.random.default_rng(seed)
+    n, basis, working = _working_matrix(m, rng)
+    factor = _KernelFactor(columns_of(working), basis.copy(), REFACTOR_EVERY)
+    reference = KernelSolvesReference(factor, REFACTOR_EVERY)
+    _assert_reference_bytes(factor, reference, working, rng)
+    _pivot_both(factor, reference, basis, n, before, repeat, rng)
+    _assert_reference_bytes(factor, reference, working, rng)
+    assert factor.refactor(basis)
+    reference.refactored()
+    _assert_reference_bytes(factor, reference, working, rng)
+    _pivot_both(factor, reference, basis, n, after, repeat, rng)
+    assert factor.etas == reference.etas
+    _assert_reference_bytes(factor, reference, working, rng)
 
 
 def test_refined_solve_raises_when_refinement_does_not_converge():

@@ -63,6 +63,30 @@ def test_matrix_jobs_parallel_identical(doc8, tiny_scenarios, tmp_path):
     assert serial == parallel
 
 
+def _report_blas_threads(document, scenario, epsilons, horizons, flows=False):
+    """A scenario run that records only the BLAS thread count of the process it runs in."""
+    record = PathwayRecord(scenario.id, min(horizons), "optimal", None, f"threads={runner_mod.blas_threads()}")
+    return runner_mod.ScenarioOutcome(scenario_id=scenario.id, records=[record])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_matrix_solves_on_one_blas_thread(doc8, tiny_scenarios, monkeypatch, jobs):
+    # Workers fork from this process, so they see the patched scenario run.
+    monkeypatch.setattr(runner_mod, "run_scenario", _report_blas_threads)
+    caller = runner_mod.blas_threads()
+    solving = None if caller is None else 1
+    runner_mod._set_blas_threads(2)
+    try:
+        before = runner_mod.blas_threads()
+        records, _ = run_matrix(doc8, tiny_scenarios, [0.05], [2030], jobs=jobs)
+        assert {r.status for r in records} == {f"threads={solving}"}
+        assert len(records) == len(tiny_scenarios)
+        assert runner_mod.blas_threads() == before  # the caller's count, given back
+    finally:
+        if caller is not None:
+            runner_mod._set_blas_threads(caller)
+
+
 def test_worker_crash_isolates(doc8, tiny_scenarios, tmp_path, monkeypatch, caplog):
     real = runner_mod.run_scenario
 
@@ -396,6 +420,7 @@ def test_manifest_records_provenance(tmp_path, doc8, monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert provenance["blas"] == f"{blas['name']} {blas['version']}"
     assert provenance["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert provenance["solve_blas_threads"] == (None if runner_mod.blas_threads() is None else 1)
     # A manifest written before provenance was recorded still runs.
     older = _write_manifest(tmp_path, model, scen, out=str(tmp_path / "older"), segments=None, flows=False)
     assert main(["run", "--manifest", str(older)]) == 0
