@@ -165,7 +165,7 @@ def _advance(prev, start, network, scenario, aggregate, sense, epsilon, solve_lp
     else:
         fleet = carry_over(prev.dispatch, prev.fleet, prev.network, horizon)
     # Merged vintages live only inside this horizon's LP: the carried fleet
-    # keeps every vintage, and the dispatch is split back onto them.
+    # keeps every vintage, and extract splits the flow rows back onto them.
     problem = translate(network, fleet, aggregate)
     solution, mu = solve_lp(problem)
     dispatch, values = None, {}

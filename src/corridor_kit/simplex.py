@@ -39,8 +39,17 @@ _KERNEL_MIN_ROWS = 140
 
 MAX_ITERATIONS = 50000  # per attempt; a solve that reaches it reports a timeout
 PIVOT_TOL = 1e-9  # pricing / pivot tolerance on the equilibrated matrix
-FEAS_TOL = 1e-8  # relative primal feasibility threshold: phase 1, and the clamp of restoration
+FEAS_TOL = 1e-8  # relative primal feasibility threshold: phase 1, and restoration's noise floor and clamp
 KKT_TOL = 1e-8  # relative residual required to report "optimal"
+AT_BOUND_TOL = 1e-7  # verify_kkt: a variable this close to a bound (relative) is at it
+DRIVE_OUT_TOL = 1e-7  # smallest |pivot| that drives a basic artificial out after phase 1
+PHASE2_ROUNDS = 6  # rounds of pricing then restoration before phase 2 reports a numerical failure
+RESTORE_STEPS = 200  # dual-simplex steps one restoration may take
+RESTORE_BORDERLINE = 1e-7  # a negative basic this shallow (relative) with no entering column is left to the clamp
+DUAL_RATIO_TIE = 1e-12  # restoration's ratio test: relative gap within which ratios tie
+PRICING_NOISE = 1e-12  # pricing's roundoff allowance per unit of 1 + |y|.|A_j|
+RAY_REPRICE_NOISE = 1e-9  # the same allowance when a ray's column is re-priced accurately
+PRIMAL_RATIO_TIE = 1e-9  # pricing's ratio test: relative gap within which ratios tie
 REFACTOR_EVERY = 90  # pricing iterations between two refactorizations
 STALL_ITERATIONS = 300  # switch to Bland's rule after this many non-improving pivots
 CAUTIOUS_REFACTOR_EVERY = 20  # REFACTOR_EVERY of the retry after a numerical failure
@@ -118,8 +127,8 @@ def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
     scale = 1.0 + abs(obj)
 
     y_rel = y / (1.0 + np.abs(y))
-    at_lo = fin_lo & (x <= lo + 1e-7 * lo_scale)
-    at_hi = fin_hi & (x >= hi - 1e-7 * hi_scale)
+    at_lo = fin_lo & (x <= lo + AT_BOUND_TOL * lo_scale)
+    at_hi = fin_hi & (x >= hi - AT_BOUND_TOL * hi_scale)
     zj = z / (1.0 + np.abs(c))
     # A fixed variable (at both bounds) admits any sign.
     z_viol = np.where(at_lo, -zj, np.where(at_hi, zj, np.abs(zj)))[~(at_lo & at_hi)]
@@ -816,7 +825,7 @@ class _SimplexCore:
         # clamping); dual-simplex restoration steps repair that exactly, then
         # pricing resumes until both sides hold.
         cost = np.concatenate([self.c, np.zeros(n_art)])
-        for _ in range(6):
+        for _ in range(PHASE2_ROUNDS):
             status = self._iterate(cost, phase=2)
             if status is not None:
                 return status, self.iterations
@@ -835,14 +844,13 @@ class _SimplexCore:
 
     def _drive_out_artificials(self):
         """Pivot basic artificials out wherever a structural pivot exists."""
-        tol = 1e-7
         eligible = self.allowed & ~self.is_artificial
         eligible[self.basis] = False
         for pos in range(self.m):
             if not self.is_artificial[self.basis[pos]]:
                 continue
             row = self.factor.times_a(self.factor.btran(pos))
-            candidates = np.flatnonzero((np.abs(row) > tol) & eligible)
+            candidates = np.flatnonzero((np.abs(row) > DRIVE_OUT_TOL) & eligible)
             if not candidates.size:
                 continue  # redundant row; artificial stays basic at zero
             j = int(candidates[0])
@@ -884,10 +892,10 @@ class _SimplexCore:
         # noise the final clamp absorbs, unless clamping it breaks a row.
         scale = 1.0 + float(np.max(np.abs(self.x_b)))
         pivoted = False
-        for _ in range(200):
+        for _ in range(RESTORE_STEPS):
             row = int(np.argmin(self.x_b))
             value = float(self.x_b[row])
-            if value >= -1e-8 * scale:
+            if value >= -FEAS_TOL * scale:
                 row = self._clamp_breaks_row()
                 if row is None:
                     np.maximum(self.x_b, 0.0, out=self.x_b)
@@ -898,17 +906,17 @@ class _SimplexCore:
             y = self.factor.btran(cost[self.basis])
             z = cost - self.factor.times_a(y)
             row_r = self.factor.times_a(self.factor.btran(row))
-            eligible = (row_r < -1e-9) & self.allowed
+            eligible = (row_r < -PIVOT_TOL) & self.allowed
             eligible[self.basis] = False
             cand = np.nonzero(eligible)[0]
             if cand.size == 0:
-                if value >= -1e-7 * scale:  # borderline noise; leave to the clamp
+                if value >= -RESTORE_BORDERLINE * scale:
                     np.maximum(self.x_b, 0.0, out=self.x_b)
                     return True, pivoted
                 return False, pivoted
             ratios = np.maximum(z[cand], 0.0) / (-row_r[cand])
             best = float(ratios.min())
-            tie = cand[ratios <= best + 1e-12 * (1.0 + abs(best))]
+            tie = cand[ratios <= best + DUAL_RATIO_TIE * (1.0 + abs(best))]
             j = int(tie.min())
             self._pivot(row, j, self.factor.ftran(j), clamp=False)
             pivoted = True
@@ -941,7 +949,7 @@ class _SimplexCore:
         closed[self.basis] = True
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
-        tol = PIVOT_TOL
+        tol, pricing_noise, reprice_noise, ratio_tie = PIVOT_TOL, PRICING_NOISE, RAY_REPRICE_NOISE, PRIMAL_RATIO_TIE
         # Pricing is normalized per column so the stopping rule matches the
         # relative reduced-cost criterion the KKT verifier applies; a second,
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
@@ -981,7 +989,7 @@ class _SimplexCore:
             since_noise += 1
             if since_noise >= 16 or noise is None:
                 noise = times_a(np.abs(y), magnitude=True)
-                thr = tol * denom + 1e-12 * (1.0 + noise)
+                thr = tol * denom + pricing_noise * (1.0 + noise)
                 since_noise = 0
             np.subtract(cost, times_a(y), out=z)
             np.add(z, thr, out=score)
@@ -1024,7 +1032,7 @@ class _SimplexCore:
                 dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude
-                if z_acc >= -(tol * denom[j] + 1e-9 * noise_j):
+                if z_acc >= -(tol * denom[j] + reprice_noise * noise_j):
                     closed[j] = True
                     ray_verified = False
                     continue
@@ -1032,7 +1040,7 @@ class _SimplexCore:
             ray_verified = False
             ratios = self.x_b[pos] / d[pos]
             theta = float(ratios[ratios.argmin()])
-            tie = pos[ratios <= theta + 1e-9 * (1.0 + abs(theta))]
+            tie = pos[ratios <= theta + ratio_tie * (1.0 + abs(theta))]
             if tie.size == 1:
                 row = int(tie[0])
             elif bland:

@@ -1,4 +1,4 @@
-"""Translate a network plus a fleet into a labelled LP and map solutions back.
+"""Translate a network plus a fleet into a labelled LP; map a solution to builds, flow table and target.
 
 Row layout is canonical and deterministic: bus balance rows first, then
 per-instance asset rows (capacity limits and storage dynamics), then global
@@ -19,7 +19,7 @@ Carbon accounting conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +57,13 @@ class _Instance:
 
 @dataclass
 class DispatchResult:
-    """Solved dispatch mapped back to domain quantities."""
+    """What a solved horizon hands on: its cost, new builds, flow table and target."""
 
     horizon: int
     objective: float
-    built_capacity: dict[str, float]
-    dispatch_mwh: dict[str, np.ndarray]  # metered MWh per instance per snapshot
-    store_net_mwh: dict[str, np.ndarray]  # positive = discharge to the bus
-    instance_info: dict[str, dict]
-    flow_rows: list[tuple]  # (carrier, bus, asset_id, instance_id, annual)
-    net_emissions_t: float
-    sequestered_t: float
-    imports_mwh: dict[str, float]
-    hydrogen_mwh: float
-    target_value_mt: float = field(init=False)
-
-    def __post_init__(self):
-        self.target_value_mt = twh_to_mt(self.hydrogen_mwh / 1e6)
+    built_capacity: dict[str, float]  # MW built per expandable asset
+    flow_rows: list[tuple]  # (carrier, bus, asset_id, instance_id, annual MWh)
+    target_value_mt: float  # Mt of hydrogen from the electrolysers: the MGA target
 
 
 def _instances(network: Network, fleet: Fleet | None, aggregate: bool) -> list[_Instance]:
@@ -156,7 +146,7 @@ def translate(network: Network, fleet: Fleet | None = None, aggregate: bool = Fa
     LP sees them alike.  ``aggregate`` also merges vintages of distinct build
     years with equal recorded ``params`` (``AGGREGATION_EXEMPT_TAGS`` and
     assets with two vintages of one year excepted), and :func:`extract`
-    splits their results back onto the vintages.
+    splits their flow rows back onto the vintages.
     """
     weights = network.snapshots.weights
     n_snap = network.snapshots.count
@@ -336,23 +326,13 @@ def translate(network: Network, fleet: Fleet | None = None, aggregate: bool = Fa
     return bld.build(aux={TARGET_AUX: aux_elec}, meta=meta)
 
 
-def _member_shares(rec: dict) -> list[tuple[str, int, float, float]]:
-    """``(iid, build_year, capacity, share)`` of each vintage a merged instance holds, shared by capacity."""
-    total = sum(capacity for _, capacity in rec["members"])
-    return [
-        (f"{rec['asset_id']}@{year}", year, capacity, capacity / total if total > 0 else 0.0)
-        for year, capacity in rec["members"]
-    ]
-
-
 def extract(problem: LpProblem, solution) -> DispatchResult:
-    """Map a solved LP back to domain quantities.
+    """Map a solved LP back to built capacity, the flow table and the target.
 
-    Every labelled column lands in exactly one result field; an unknown label
-    is an internal consistency error, not user error.  An instance that merges
-    vintages of several build years is reported per vintage: its dispatch,
-    net storage, record and flow rows are split by capacity share, and the
-    flow rows of its vintages take its place in the row order.
+    Every column label must be one that :func:`translate` writes; an unknown
+    label is an internal consistency error, not user error.  An instance that
+    merges vintages of several build years is reported per vintage: its flow
+    rows are split by capacity share and take its place in the row order.
     """
     if solution.x is None:
         raise ConsistencyError(f"cannot extract from a solution with status {solution.status!r}")
@@ -362,98 +342,52 @@ def extract(problem: LpProblem, solution) -> DispatchResult:
     x = solution.x
 
     built: dict[str, float] = {}
-    dispatch: dict[str, np.ndarray] = {}
-    charge: dict[str, np.ndarray] = {}
-    discharge: dict[str, np.ndarray] = {}
+    metered: dict[str, dict[str, np.ndarray]] = {"disp": {}, "chg": {}, "dis": {}}  # kind -> iid -> MWh a snapshot
     for j, label in enumerate(problem.col_labels):
         parts = label.split("::")
         kind = parts[0]
         if kind == "cap":
             built[parts[1]] = float(x[j])
-        elif kind in ("disp", "chg", "dis", "lvl"):
-            iid, t = parts[1], int(parts[2])
-            if kind == "disp":
-                dispatch.setdefault(iid, np.zeros(n_snap))[t] = x[j] * weights[t]
-            elif kind == "chg":
-                charge.setdefault(iid, np.zeros(n_snap))[t] = x[j] * weights[t]
-            elif kind == "dis":
-                discharge.setdefault(iid, np.zeros(n_snap))[t] = x[j] * weights[t]
-        else:
+        elif kind in metered:
+            t = int(parts[2])
+            metered[kind].setdefault(parts[1], np.zeros(n_snap))[t] = x[j] * weights[t]
+        elif kind != "lvl":
             raise ConsistencyError(f"unrecognized column label {label!r}")
 
-    store_net = {}
-    for iid in sorted(set(charge) | set(discharge)):
-        store_net[iid] = discharge.get(iid, np.zeros(n_snap)) - charge.get(iid, np.zeros(n_snap))
-
-    info = {rec["iid"]: rec for rec in problem.meta["instances"]}
-    shares = {iid: _member_shares(rec) for iid, rec in info.items() if rec["members"]}
     atmosphere = network.co2_bus("atmosphere")
-    permanent = network.co2_bus("permanent")
-
     flow_rows: list[tuple] = []
-    emissions = 0.0
-    sequestered = 0.0
-    imports: dict[str, float] = {}
-    for iid in sorted(info):
-        rec = info[iid]
+    for rec in sorted(problem.meta["instances"], key=lambda r: r["iid"]):
+        iid = rec["iid"]
         asset = network.asset(rec["asset_id"])
-        rows = []
         if rec["kind"] == "store":
             bus_id = next(iter(asset.buses))
-            rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, float(store_net[iid].sum())))
+            net = metered["dis"].get(iid, np.zeros(n_snap)) - metered["chg"][iid]  # positive = discharge
+            rows = [(network.bus(bus_id).carrier, bus_id, asset.id, iid, float(net.sum()))]
         else:
-            effs = rec["efficiencies"]
-            metered = dispatch.get(iid, np.zeros(n_snap))
-            carrier_primary = network.bus_carrier(next(iter(effs)))
-            if asset.kind == "import":
-                imports[carrier_primary.name] = imports.get(carrier_primary.name, 0.0) + float(
-                    metered.sum()
-                )
-                emissions -= carrier_primary.co2_intensity * float(metered.sum())
-            for bus_id, eff in sorted(effs.items()):
-                annual = eff * float(metered.sum())
-                if atmosphere is not None and bus_id == atmosphere.id:
-                    emissions += annual
-                    continue
-                if permanent is not None and bus_id == permanent.id and eff > 0:
-                    sequestered += annual
-                rows.append((network.bus(bus_id).carrier, bus_id, asset.id, iid, annual))
-        if iid in shares:
-            # A merged instance's rows, repeated for each vintage in build-year order.
-            rows = [(*row[:3], mid, row[4] * share) for mid, _, _, share in shares[iid] for row in rows]
+            total = float(metered["disp"][iid].sum())
+            rows = [
+                (network.bus(bus_id).carrier, bus_id, asset.id, iid, eff * total)
+                for bus_id, eff in sorted(rec["efficiencies"].items())
+                if atmosphere is None or bus_id != atmosphere.id
+            ]
+        if rec["members"]:
+            # A merged instance's rows, repeated for each vintage in build-year order, shared by capacity.
+            held = sum(capacity for _, capacity in rec["members"])
+            shares = [(f"{asset.id}@{year}", capacity / held if held > 0 else 0.0) for year, capacity in rec["members"]]
+            rows = [(*row[:3], mid, row[4] * share) for mid, share in shares for row in rows]
         flow_rows.extend(rows)
-
-    for iid, members in shares.items():
-        rec, series, net_series = info.pop(iid), dispatch.pop(iid, None), store_net.pop(iid, None)
-        for mid, build_year, capacity, share in members:
-            info[mid] = {**rec, "iid": mid, "build_year": build_year, "capacity_base": capacity, "members": []}
-            if series is not None:
-                dispatch[mid] = series * share
-            if net_series is not None:
-                store_net[mid] = net_series * share
 
     for asset in sorted(network.assets, key=lambda a: a.id):
         if asset.kind != "load":
             continue
         bus_id = next(iter(asset.buses))
-        carrier = network.bus_carrier(bus_id)
         annual = float(asset.demand @ weights)
-        flow_rows.append((carrier.name, bus_id, asset.id, asset.id, -annual))
-        emissions += carrier.co2_intensity * annual
+        flow_rows.append((network.bus_carrier(bus_id).name, bus_id, asset.id, asset.id, -annual))
 
-    hydrogen_mwh = problem.aux_value(TARGET_AUX, x)
     return DispatchResult(
         horizon=network.horizon,
         objective=float(problem.c @ x),
         built_capacity=built,
-        dispatch_mwh=dispatch,
-        store_net_mwh=store_net,
-        instance_info=info,
         flow_rows=flow_rows,
-        net_emissions_t=emissions,
-        sequestered_t=sequestered,
-        imports_mwh=imports,
-        hydrogen_mwh=hydrogen_mwh,
+        target_value_mt=twh_to_mt(problem.aux_value(TARGET_AUX, x) / 1e6),
     )
-
-

@@ -12,7 +12,7 @@ from corridor_kit.pathway import run_pathways
 from corridor_kit.reduction import reduce_document
 from corridor_kit.scenarios import apply_scenario
 from corridor_kit.simplex import solve
-from corridor_kit.translate import StructuralError, extract, translate
+from corridor_kit.translate import TARGET_AUX, StructuralError, extract, translate
 
 from lp_oracles import dense, dense_write_lp_file
 
@@ -56,7 +56,7 @@ def test_tiny_network_solution():
     assert sol.status == "optimal"
     result = extract(prob, sol)
     assert result.built_capacity["gen"] == pytest.approx(100.0)
-    assert result.dispatch_mwh["gen"].sum() == pytest.approx(100.0 * 8760.0)
+    assert ("electricity", "el", "gen", "gen", pytest.approx(100.0 * 8760.0)) in result.flow_rows
 
 
 def test_fixture_row_col_tally(fixture_doc):
@@ -144,12 +144,12 @@ def test_vintages_of_one_build_year_share_one_instance(fixture_doc, scenario_ind
     built_2030 = steps[0].dispatch.built_capacity["btl"]
     built_2035 = steps[1].dispatch.built_capacity["btl"]
     assert built_2030 > 1e4 and built_2035 > 1e3
-    assert steps[1].dispatch.instance_info["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
+    assert fleet_records(problems[1], "btl")["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
     # At 2040 the two carried vintages would merge under btl@2030 too; the
     # document's vintage keeps them apart.
-    info = steps[2].dispatch.instance_info
-    assert info["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
-    assert info["btl@2035"]["capacity_base"] == pytest.approx(built_2035)
+    records = fleet_records(problems[2], "btl")
+    assert records["btl@2030"]["capacity_base"] == pytest.approx(1000 + built_2030)
+    assert records["btl@2035"]["capacity_base"] == pytest.approx(built_2035)
 
 
 def test_vintages_of_one_build_year_must_match(doc8, base_scenario):
@@ -202,43 +202,63 @@ def solved_fixture(doc8, base_scenario):
     return net, prob, sol, extract(prob, sol)
 
 
-def test_flow_table_balances(solved_fixture):
-    net, prob, sol, result = solved_fixture
+def assert_flows_balance(net, flow_rows):
     totals = {}
-    for carrier, bus, asset_id, iid, annual in result.flow_rows:
+    for carrier, bus, asset_id, iid, annual in flow_rows:
         totals[bus] = totals.get(bus, 0.0) + annual
     atmosphere = net.co2_bus("atmosphere").id
     for bus, net_flow in totals.items():
         if bus == atmosphere:
             continue
         scale = sum(
-            abs(a) for c, b, _, _, a in result.flow_rows if b == bus
+            abs(a) for c, b, _, _, a in flow_rows if b == bus
         )
         assert abs(net_flow) <= 1e-6 * max(1.0, scale), f"bus {bus} imbalance {net_flow}"
 
 
+def test_flow_table_balances(solved_fixture):
+    net, prob, sol, result = solved_fixture
+    assert_flows_balance(net, result.flow_rows)
+
+
+def test_flow_table_balances_with_a_charging_store(doc8, base_scenario):
+    # At 2040 the permanent sink charges, so its net store row carries the balance of its bus.
+    net = apply_scenario(build_network(doc8, 2040), base_scenario, 2040)
+    prob = translate(net, fleet_from_document(doc8).active(2040))
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    result = extract(prob, sol)
+    [sink] = [annual for _, _, asset_id, _, annual in result.flow_rows if asset_id == "perm_sink"]
+    assert sink < -1e6
+    assert_flows_balance(net, result.flow_rows)
+
+
 def test_objective_recomputed_matches(solved_fixture):
+    # The flow table priced: capital on the built capacity, marginal cost on
+    # each instance's metered MWh (its row at efficiency +-1), and the stores'
+    # discharge cost, which the net store row hides, from the LP's columns.
     net, prob, sol, result = solved_fixture
     weights = net.snapshots.weights
     total = 0.0
     for asset_id, capacity in result.built_capacity.items():
         total += net.asset(asset_id).capital_cost * capacity
-    info = result.instance_info
-    for iid, rec in info.items():
-        series = result.dispatch_mwh.get(iid)
-        if series is None:
+    annual = {(bus, iid): value for _, bus, _, iid, value in result.flow_rows}
+    marginal_cost = {rec["iid"]: rec["marginal_cost"] for rec in prob.meta["instances"]}
+    for rec in prob.meta["instances"]:
+        if rec["kind"] == "store":
             continue
-        total += rec["marginal_cost"] * series.sum()
-    for iid, rec in info.items():
-        if rec["kind"] != "store":
-            continue
-        series = result.store_net_mwh.get(iid)
-        if series is not None:
-            total += rec["marginal_cost"] * series[series > 0].sum()
+        bus, eff = next((bus, eff) for bus, eff in sorted(rec["efficiencies"].items()) if abs(eff) == 1.0)
+        total += rec["marginal_cost"] * annual[bus, rec["iid"]] / eff
+    for j, label in enumerate(prob.col_labels):
+        kind, *rest = label.split("::")
+        if kind == "dis":
+            iid, t = rest
+            total += marginal_cost[iid] * sol.x[j] * weights[int(t)]
     assert total == pytest.approx(sol.objective, rel=1e-8)
 
 
-def test_atmosphere_row_is_literal_residual(solved_fixture):
+def test_emission_row_holds_the_cap(solved_fixture):
+    # The cap row's activity plus the loads' combustion constant stays within the cap.
     net, prob, sol, result = solved_fixture
     row = prob.row_labels.index("glb::co2_cap")
     a = dense(prob)
@@ -248,15 +268,14 @@ def test_atmosphere_row_is_literal_residual(solved_fixture):
         for asset in net.assets
         if asset.kind == "load"
     )
-    lhs = float(a[row] @ sol.x) + load_const
-    assert lhs == pytest.approx(result.net_emissions_t, abs=1e-6 * max(1.0, abs(lhs)))
+    cap = next(limit.bound for limit in net.limits if limit.name == "co2_cap")
+    assert prob.b[row] == pytest.approx(cap - load_const)
+    assert float(a[row] @ sol.x) + load_const <= cap + 1e-6 * max(1.0, abs(cap))
 
 
 def test_electrolysis_conversion_value(solved_fixture):
     net, prob, sol, result = solved_fixture
-    assert result.target_value_mt == pytest.approx(
-        result.hydrogen_mwh / 1e6 / 33.33, rel=1e-12
-    )
+    assert result.target_value_mt == pytest.approx(prob.aux_value(TARGET_AUX, sol.x) / 1e6 / 33.33, rel=1e-12)
     # 33 330 GWh of electrolysis output is one megatonne.
     assert mt_to_twh(1.0) * 1e6 == pytest.approx(3.333e7)
 
@@ -374,8 +393,7 @@ def test_aggregate_group_of_one_is_identity(net2030):
     sol = solve(merged)
     a, b = extract(plain, sol), extract(merged, sol)
     assert a.flow_rows == b.flow_rows
-    assert a.instance_info == b.instance_info
-    assert all(np.array_equal(a.dispatch_mwh[k], b.dispatch_mwh[k]) for k in a.dispatch_mwh)
+    assert merged.meta["instances"] == plain.meta["instances"]
 
 
 def test_extract_splits_merged_dispatch_by_capacity(doc8, base_scenario):
@@ -384,17 +402,15 @@ def test_extract_splits_merged_dispatch_by_capacity(doc8, base_scenario):
     problem = translate(net, fleet, aggregate=True)
     sol = solve(problem)
     assert sol.status == "optimal"
+    assert fleet_records(problem, "wind_n1")["wind_n1@2012"]["members"] == [(2012, 100.0), (2017, 150.0)]
     result = extract(problem, sol)
     weights = net.snapshots.weights
-    merged = np.array(
-        [sol.x[problem.col_labels.index(f"disp::wind_n1@2012::{t}")] * weights[t] for t in range(len(weights))]
-    )
-    a, b = result.dispatch_mwh["wind_n1@2012"], result.dispatch_mwh["wind_n1@2017"]
-    assert np.allclose(a + b, merged)
-    assert np.allclose(a, merged * 0.4) and np.allclose(b, merged * 0.6)
-    assert result.instance_info["wind_n1@2012"]["capacity_base"] == pytest.approx(100.0)
-    assert result.instance_info["wind_n1@2017"]["capacity_base"] == pytest.approx(150.0)
-    assert result.instance_info["wind_n1@2017"]["build_year"] == 2017
+    metered = sum(sol.x[problem.col_labels.index(f"disp::wind_n1@2012::{t}")] * weights[t] for t in range(len(weights)))
+    assert metered > 0
+    rows = {iid: annual for _, _, asset_id, iid, annual in result.flow_rows if asset_id == "wind_n1"}
+    assert list(rows) == ["wind_n1", "wind_n1@2012", "wind_n1@2017"]
+    assert rows["wind_n1@2012"] == pytest.approx(0.4 * metered) and rows["wind_n1@2017"] == pytest.approx(0.6 * metered)
+    assert rows["wind_n1@2012"] + rows["wind_n1@2017"] == pytest.approx(metered)
 
 
 def test_extract_splits_flow_rows(doc8, base_scenario, monkeypatch):
@@ -430,7 +446,6 @@ def test_extract_splits_flow_rows(doc8, base_scenario, monkeypatch):
         sums_a, sums_b = asset_sums(rows_a), asset_sums(rows_b)
         for key, value in sums_a.items():
             assert sums_b[key] == pytest.approx(value, rel=1e-6, abs=1e-6), key
-        assert {row[3] for row in rows_b} >= set(b.dispatch.instance_info)
 
     for problem, whole, split in splits:
         annual = {row[:4]: row[4] for row in split.flow_rows}
