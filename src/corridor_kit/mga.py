@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import LpProblem
-from .simplex import solve
+from .simplex import solve as _simplex_solve
 from .translate import TARGET_AUX
 
 BUDGET_LABEL = "budget"
@@ -38,6 +38,19 @@ PIN_SLACK_REL = 1e-9
 PIN_SLACK_MWH = 1e-2
 
 logger = logging.getLogger(__name__)
+
+
+def solve(problem: LpProblem):
+    """``simplex.solve`` with the primal start, for the extremizations and the cleanups.
+
+    Which optimal vertex these re-solves end at moves recorded answers inside
+    the cleanup pin's slack, and a zero-slack cleanup on the dual start can
+    pick a fleet that leaves the next horizon's budget out of reach.  So they
+    keep phase 1 until neither depends on the vertex (ROADMAP items 1 and
+    2).  The solver is bound at import, so a tracer that rebinds both
+    ``simplex.solve`` and this function counts each re-solve once.
+    """
+    return _simplex_solve(problem, primal_start=True)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,15 @@ well-defined row duals for downstream shadow-price work.  Every LP takes one
 path, the standard form and the simplex core, and ``optimal`` is certified
 at one place, the KKT check at the end of each attempt.
 
+The core reaches a primal-feasible basis in one of two ways.  An LP on the
+kernel factor (``_KERNEL_MIN_ROWS`` standard-form rows and more) whose start
+basis holds artificial columns takes the dual simplex start, unless its
+caller asks for the primal start: the slack/artificial basis is dual
+feasible for the costs clipped at zero, so dual pivots reach primal
+feasibility without phase 1.  Every other LP runs phase 1, the primal
+simplex on the sum of the artificials.  Phase 2 and the primal restoration
+then run on the true costs either way.
+
 Dual sign convention
 --------------------
 Row duals are reported as marginal values of the optimal objective with
@@ -28,6 +37,7 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_NUMERICAL = "numerical_failure"
 STATUS_TIMEOUT = "timeout"
+_RESTART = "restart"  # not a status: the dual start gave way to phase 1 from the slack basis
 
 # Standard-form rows from which the simplex inverts only the basis kernel
 # (_KernelFactor); smaller LPs keep the explicit inverse (_ExplicitInverse).
@@ -81,8 +91,9 @@ class LpSolution:
     iterations: int = 0
     residuals: ResidualReport | None = None
     basis: tuple | None = None  # opaque basis fingerprint (standard-form column ids)
-    phase1_iterations: int = 0  # of ``iterations``, those spent in phase 1
+    phase1_iterations: int = 0  # of ``iterations``, those of the start: the dual start's and phase 1's
     inverses: int = 0  # basis inverses computed (refactorizations with a nonempty kernel on the kernel path)
+    start: str = "primal"  # "dual" if the dual simplex start ran to the end, "primal" after phase 1 or no start
 
 
 def verify_kkt(problem: LpProblem, solution: LpSolution) -> ResidualReport:
@@ -215,7 +226,8 @@ class _Standardizer:
     depends on the sign of a zero.
     """
 
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, primal_start: bool = False):
+        self.primal_start = primal_start  # the caller's choice of start, for every attempt
         n, m = problem.n, problem.m
         lb, ub = problem.lb, problem.ub
 
@@ -294,12 +306,14 @@ class _Standardizer:
         return y[: self.m_orig]
 
 
-def solve(problem: LpProblem) -> LpSolution:
+def solve(problem: LpProblem, primal_start: bool = False) -> LpSolution:
     """Solve the problem with the reference revised simplex.
 
     Every LP, one without rows or without columns too, goes through the
     standard form and the one simplex core, and an attempt reports
-    ``optimal`` only once :func:`verify_kkt` has passed it.  Infeasible and
+    ``optimal`` only once :func:`verify_kkt` has passed it.  With
+    ``primal_start`` the core runs phase 1 even where it would take the dual
+    start (see :class:`_SimplexCore`).  Infeasible and
     unbounded models, iteration-cap timeouts and failed residual checks are
     reported through the solution status, never raised; malformed input
     (non-finite coefficients, NaN or wrong-side infinite bounds) raises
@@ -315,7 +329,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if not (np.all(problem.lb < np.inf) and np.all(problem.ub > -np.inf)):
         raise ValueError("NaN bound, lower bound +inf or upper bound -inf in LP")
 
-    std = _Standardizer(problem)
+    std = _Standardizer(problem, primal_start)
     sol = _solve_standardized(problem, std, REFACTOR_EVERY, STALL_ITERATIONS)
     if sol.status == STATUS_NUMERICAL:
         retry = _solve_standardized(problem, std, CAUTIOUS_REFACTOR_EVERY, CAUTIOUS_STALL_ITERATIONS)
@@ -330,9 +344,11 @@ def solve(problem: LpProblem) -> LpSolution:
 def _solve_standardized(
     problem: LpProblem, std: _Standardizer, refactor_every: int, stall_iterations: int
 ) -> LpSolution:
-    core = _SimplexCore(std.columns, std.b_std, std.c_std, refactor_every, stall_iterations)
+    core = _SimplexCore(std.columns, std.b_std, std.c_std, refactor_every, stall_iterations, std.primal_start)
     status, iterations = core.run()
-    counts = dict(iterations=iterations, phase1_iterations=core.phase1_iterations, inverses=core.inverses)
+    counts = dict(
+        iterations=iterations, phase1_iterations=core.phase1_iterations, inverses=core.inverses, start=core.start
+    )
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_TIMEOUT, STATUS_NUMERICAL):
         return LpSolution(status=status, **counts)
@@ -753,10 +769,20 @@ def _factor_solve(factor, basis: np.ndarray, v: np.ndarray, transpose: bool = Fa
 
 
 class _SimplexCore:
-    """Two-phase revised simplex on equality form ``A x = b, x >= 0, b >= 0``.
+    """Revised simplex on equality form ``A x = b, x >= 0, b >= 0``: a start, then phase 2.
 
     The working matrix ``work`` is ``A`` followed by one artificial column
-    for each row the slack basis leaves uncovered, appended once.  Every use
+    for each row the slack basis leaves uncovered, appended once.  The start
+    drives the artificials out of the basis, or to zero in it, and leaves a
+    primal-feasible basis.  On the kernel factor, unless ``primal_start``,
+    it is the dual simplex (:meth:`_dual_start`): the costs clipped at zero
+    make the slack/artificial basis dual feasible, and no phase-1 objective
+    is needed.  The explicit path keeps phase 1, so its bytes stay those of
+    the byte oracle, and ``primal_start`` keeps it for callers whose answers
+    depend on which of several optimal vertices phase 1 leads to.  A dual
+    start that meets a ray within phase 1's tolerance, or stalls, restarts on
+    phase 1 from the slack basis.  Phase 2 and the primal restoration follow
+    with the true costs.  ``start`` reports the start that finished.  Every use
     of the basis inverse and every pricing product goes through a basis
     factor: :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows and
     :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
@@ -769,14 +795,24 @@ class _SimplexCore:
     basis, the identity, with room for ``refactor_every`` etas.
     """
 
-    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
+    def __init__(
+        self,
+        a: _Columns,
+        b: np.ndarray,
+        c: np.ndarray,
+        refactor_every: int,
+        stall_iterations: int,
+        primal_start: bool = False,
+    ):
         self.a = a
         self.b = b
         self.c = c
         self.refactor_every, self.stall_iterations = refactor_every, stall_iterations
+        self.primal_start = primal_start
         self.m, self.n = a.m, a.n
         self.iterations = 0
         self.phase1_iterations = 0
+        self.start = "primal"
 
     @property
     def inverses(self) -> int:
@@ -805,18 +841,16 @@ class _SimplexCore:
 
         feas_scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
 
-        # Phase 1: minimize the sum of artificial variables.
+        # The start: the dual simplex on the kernel factor, else phase 1.
         if n_art:
-            phase1_cost = np.zeros(n_work)
-            phase1_cost[n:] = 1.0
-            status = self._iterate(phase1_cost, phase=1)
+            status = _RESTART
+            if factor is _KernelFactor and not self.primal_start:
+                status = self._dual_start(feas_scale)
+            if status == _RESTART:
+                status = self._phase1(feas_scale)
             self.phase1_iterations = self.iterations
             if status is not None:
                 return status, self.iterations
-            art_mask = self.is_artificial[self.basis]
-            infeas = float(self.x_b[art_mask].sum()) if art_mask.any() else 0.0
-            if infeas > FEAS_TOL * feas_scale:
-                return STATUS_INFEASIBLE, self.iterations
             self._drive_out_artificials()
         self.allowed &= ~self.is_artificial
 
@@ -835,6 +869,106 @@ class _SimplexCore:
             if not feasible:
                 return STATUS_NUMERICAL, self.iterations
         return STATUS_NUMERICAL, self.iterations
+
+    def _phase1(self, feas_scale: float) -> str | None:
+        """Minimize the sum of the artificials; None once it is within ``FEAS_TOL``, else a status."""
+        phase1_cost = np.zeros(self.work.n)
+        phase1_cost[self.n :] = 1.0
+        status = self._iterate(phase1_cost, phase=1)
+        if status is not None:
+            return status
+        art_mask = self.is_artificial[self.basis]
+        infeas = float(self.x_b[art_mask].sum()) if art_mask.any() else 0.0
+        if infeas > FEAS_TOL * feas_scale:
+            return STATUS_INFEASIBLE
+        return None
+
+    def _dual_start(self, feas_scale: float) -> str | None:
+        """Dual simplex from the slack/artificial basis to a primal-feasible one.
+
+        The costs are ``max(c, 0)`` and 0 on the artificials, so the start
+        basis, of zero-cost columns only, is dual feasible; an artificial is
+        a variable fixed at zero.  Each iteration the basic with the largest
+        infeasibility above ``FEAS_TOL * feas_scale`` leaves: a negative
+        basic value, or a basic artificial away from zero.  Its row of
+        ``B^-1 A`` (one BTRAN, one ``times_a``) gives the dual ratio test
+        over the allowed nonbasic structural columns whose entry drives the
+        leaving value to zero, ties within ``DUAL_RATIO_TIE`` going to the
+        largest entry.  The reduced costs are updated by that row, and
+        recomputed at each refactorization.  Returns None once no basic is
+        infeasible (the basic values then clamped at zero), a final status,
+        or ``_RESTART`` after resetting the slack basis for phase 1: when a
+        ray on a fresh factorization leaves a shortfall that phase 1 would
+        accept, or the dual objective has not risen for ``stall_iterations``
+        pivots.
+        """
+        n, basis, factor = self.n, self.basis, self.factor
+        ftran, btran, times_a = factor.ftran, factor.btran, factor.times_a
+        start_basis = basis.copy()
+        cost = np.zeros(self.work.n)
+        np.maximum(self.c, 0.0, out=cost[:n])
+        enters = self.allowed & ~self.is_artificial
+        floor = FEAS_TOL * feas_scale
+        self.start = "dual"
+        z = cost - times_a(btran(cost[basis]))
+        since_refactor, fresh = 0, True
+        best_obj, stall = float(cost[basis] @ self.x_b), 0
+        while True:
+            if since_refactor >= self.refactor_every:
+                if not self._refactor():
+                    return STATUS_NUMERICAL
+                z = cost - times_a(btran(cost[basis]))
+                since_refactor, fresh = 0, True
+            x_b = self.x_b
+            infeas = np.where(self.is_artificial[basis], np.abs(x_b), -x_b)
+            row = int(np.argmax(infeas))
+            if infeas[row] <= floor:
+                np.maximum(x_b, 0.0, out=x_b)
+                return None
+            if self.iterations >= MAX_ITERATIONS:
+                return STATUS_TIMEOUT
+            self.iterations += 1
+            alpha = times_a(btran(row))
+            # Entering at a positive value moves x_b[row] by -alpha_j per unit.
+            sign = 1.0 if x_b[row] > 0.0 else -1.0
+            eligible = enters & (sign * alpha > PIVOT_TOL)
+            eligible[basis] = False
+            cand = np.flatnonzero(eligible)
+            if not cand.size:
+                if not fresh:  # rule out factorization drift first
+                    since_refactor = self.refactor_every
+                    continue
+                held = self.is_artificial[basis]
+                held[row] = False
+                peak = float(np.abs(alpha[n:]).max(initial=0.0))
+                shortfall = (abs(x_b[row]) / peak if peak > 0.0 else np.inf) + float(np.abs(x_b[held]).sum())
+                if shortfall > floor:
+                    return STATUS_INFEASIBLE
+                return self._restart(start_basis)
+            ratios = np.maximum(z[cand], 0.0) / (sign * alpha[cand])
+            best = float(ratios.min())
+            tie = cand[ratios <= best + DUAL_RATIO_TIE * (1.0 + abs(best))]
+            j = int(tie[np.argmax(np.abs(alpha[tie]))])
+            z -= (z[j] / alpha[j]) * alpha
+            z[j] = 0.0
+            self._pivot(row, j, ftran(j), clamp=False)
+            since_refactor, fresh = since_refactor + 1, False
+            obj = float(cost[basis] @ self.x_b)
+            if obj > best_obj + PIVOT_TOL * (1.0 + abs(best_obj)):
+                best_obj, stall = obj, 0
+            else:
+                stall += 1
+                if stall >= self.stall_iterations:
+                    return self._restart(start_basis)
+
+    def _restart(self, start_basis: np.ndarray) -> str:
+        """Reset the slack/artificial basis for phase 1; the iterations so far still count."""
+        self.basis[:] = start_basis
+        self.factor.refactor(self.basis)  # unit columns only: no inverse computed
+        self.x_b = self.b.copy()
+        self.allowed[:] = True
+        self.start = "primal"
+        return _RESTART
 
     def _refactor(self) -> bool:
         if not self.factor.refactor(self.basis):

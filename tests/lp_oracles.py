@@ -400,7 +400,8 @@ class BroadcastSimplexCore:
     its own attributes: every pivot updates the inverse with one broadcast
     m x m outer product.  It also inverts the start basis, the inverse
     ``_SimplexCore`` skips.  It keeps no phase-1 or inverse counters and
-    reports both as 0.  It is its own ``factor``: its ``ftran`` and
+    reports both as 0.  It always runs phase 1, the start of the explicit
+    path, and reports the primal start.  It is its own ``factor``: its ``ftran`` and
     ``btran`` of a vector are products with its inverse, and the refined
     solves of the restoration, the final polish and the ray check are
     ``_factor_solve`` on them.
@@ -408,8 +409,17 @@ class BroadcastSimplexCore:
 
     phase1_iterations = 0
     inverses = 0
+    start = "primal"
 
-    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, refactor_every: int, stall_iterations: int):
+    def __init__(
+        self,
+        a: _Columns,
+        b: np.ndarray,
+        c: np.ndarray,
+        refactor_every: int,
+        stall_iterations: int,
+        primal_start: bool = False,
+    ):
         self.a = a
         self.b = b
         self.c = c
