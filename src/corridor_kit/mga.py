@@ -111,6 +111,16 @@ def extremize(problem: LpProblem, sense: str):
     return solution, mu
 
 
+def pinned_cleanup(budgeted: LpProblem, solution, sense: str, cost: np.ndarray) -> LpProblem:
+    """The cleanup LP: least ``cost`` with the target pinned within the slack of ``solution``'s extremum."""
+    h_star = float(budgeted.c @ solution.x)
+    slack = PIN_SLACK_REL * abs(h_star) + PIN_SLACK_MWH
+    pin_sense = "le" if sense == "min" else "ge"
+    bound = h_star + slack if sense == "min" else h_star - slack
+    target_coeffs = {int(j): float(budgeted.c[j]) for j in np.nonzero(budgeted.c)[0]}
+    return budgeted.with_row(PIN_LABEL, target_coeffs, pin_sense, bound, objective=cost)
+
+
 def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np.ndarray):
     """Among solutions attaining the extremal target value, pick the cheapest.
 
@@ -127,13 +137,7 @@ def _cheapest_representative(budgeted: LpProblem, solution, sense: str, cost: np
     solution is kept and a warning names the LP, its scenario, the sense, the
     slack level and the status.
     """
-    h_star = float(budgeted.c @ solution.x)
-    slack = PIN_SLACK_REL * abs(h_star) + PIN_SLACK_MWH
-    pin_sense = "le" if sense == "min" else "ge"
-    bound = h_star + slack if sense == "min" else h_star - slack
-    target_coeffs = {int(j): float(budgeted.c[j]) for j in np.nonzero(budgeted.c)[0]}
-    cleanup = budgeted.with_row(PIN_LABEL, target_coeffs, pin_sense, bound, objective=cost)
-    refined = solve(cleanup)
+    refined = solve(pinned_cleanup(budgeted, solution, sense, cost))
     if refined.status != "optimal":
         logger.warning(
             "%s (scenario %s): %s cleanup solve at epsilon %s ended %s; keeping the extremal solution as found",

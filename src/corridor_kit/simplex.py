@@ -61,7 +61,7 @@ PRICING_NOISE = 1e-12  # pricing's roundoff allowance per unit of 1 + |y|.|A_j|
 RAY_REPRICE_NOISE = 1e-9  # the same allowance when a ray's column is re-priced accurately
 PRIMAL_RATIO_TIE = 1e-9  # pricing's ratio test: relative gap within which ratios tie
 REFACTOR_EVERY = 90  # pricing iterations between two refactorizations
-STALL_ITERATIONS = 300  # switch to Bland's rule after this many non-improving pivots
+STALL_ITERATIONS = 300  # non-improving pivots before Bland's rule (until progress resumes) or a dual restart
 CAUTIOUS_REFACTOR_EVERY = 20  # REFACTOR_EVERY of the retry after a numerical failure
 CAUTIOUS_STALL_ITERATIONS = 40  # STALL_ITERATIONS of that retry
 
@@ -782,17 +782,19 @@ class _SimplexCore:
     depend on which of several optimal vertices phase 1 leads to.  A dual
     start that meets a ray within phase 1's tolerance, or stalls, restarts on
     phase 1 from the slack basis.  Phase 2 and the primal restoration follow
-    with the true costs.  ``start`` reports the start that finished.  Every use
-    of the basis inverse and every pricing product goes through a basis
-    factor: :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows and
-    :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
+    with the true costs.  ``start`` reports the start that finished.  A primal
+    pass stalls as the dual start does, after ``stall_iterations`` pivots
+    without progress, and then prices by Bland's rule until progress resumes.
+    Every use of the basis inverse and every pricing product goes through a
+    basis factor: :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows
+    and :class:`_KernelFactor` from there on.  A factor computes ``ftran(j)``
     (``B^-1 a_j``), ``btran(v)`` (``v B^-1``; a row of ``B^-1`` is
     ``btran(pos)``), ``update(row, d)`` after a pivot and ``refactor(basis)``,
     and prices with ``times_a``.  The solves of the primal restoration, the
     final polish and the ray check are one function on either factor,
-    :func:`_factor_solve`: its FTRAN or BTRAN, refined with residuals over
-    the working matrix's triplets.  A factor starts on the slack/artificial
-    basis, the identity, with room for ``refactor_every`` etas.
+    :func:`_factor_solve`: its FTRAN or BTRAN, refined with residuals over the
+    working matrix's triplets.  A factor starts on the slack/artificial basis,
+    the identity, with room for ``refactor_every`` etas.
     """
 
     def __init__(
@@ -1089,9 +1091,6 @@ class _SimplexCore:
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
         # would otherwise admit degenerate zero-cost rays as "improving".
         denom = 1.0 + np.abs(cost)
-        bland = False
-        stall = 0
-        best_obj = np.inf
         since_refactor = 0
         since_noise = 999
         noise = None
@@ -1104,6 +1103,8 @@ class _SimplexCore:
         score = np.empty(cost.size)
         basis, factor = self.basis, self.factor  # both kept for the whole solve
         ftran, btran, times_a = factor.ftran, factor.btran, factor.times_a
+        # The dual start's stall rule: Bland's rule, a guard against cycling, only while stalled.
+        best_obj, stall = float(cost[basis] @ self.x_b), 0
 
         while True:
             if self.iterations >= MAX_ITERATIONS:
@@ -1130,6 +1131,7 @@ class _SimplexCore:
             np.divide(score, denom, out=score)  # eligible iff score < 0
             np.putmask(score, closed, np.inf)
 
+            bland = stall >= self.stall_iterations
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
                 if neg.size == 0:
@@ -1190,12 +1192,8 @@ class _SimplexCore:
             closed[leaving] = not self.allowed[leaving]
             closed[j] = True
 
-            stall += 1
-            if stall % 4 == 0 or stall > self.stall_iterations:
-                obj = float(cost[basis] @ self.x_b)
-                if obj < best_obj - tol * (1.0 + abs(best_obj)):
-                    best_obj = obj
-                    stall = 0
-                    bland = False
-                elif stall > self.stall_iterations:
-                    bland = True
+            obj = float(cost[basis] @ self.x_b)
+            if obj < best_obj - tol * (1.0 + abs(best_obj)):
+                best_obj, stall = obj, 0
+            else:
+                stall += 1

@@ -609,9 +609,7 @@ class BroadcastSimplexCore:
         # would otherwise admit degenerate zero-cost rays as "improving".
         denom = 1.0 + np.abs(cost)
         abs_a = np.abs(self.a_work)
-        bland = False
-        stall = 0
-        best_obj = np.inf
+        best_obj, stall = float(cost[self.basis] @ self.x_b), 0
         since_refactor = 0
         since_noise = 999
         noise = None
@@ -646,6 +644,7 @@ class BroadcastSimplexCore:
             score[in_basis] = np.inf
             score[banned] = np.inf
 
+            bland = stall >= self.stall_iterations
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
                 if neg.size == 0:
@@ -703,15 +702,11 @@ class BroadcastSimplexCore:
             in_basis[j] = True
             self._pivot(row, j, d)
 
-            stall += 1
-            if stall % 4 == 0 or stall > self.stall_iterations:
-                obj = float(cost[self.basis] @ self.x_b)
-                if obj < best_obj - tol * (1.0 + abs(best_obj)):
-                    best_obj = obj
-                    stall = 0
-                    bland = False
-                elif stall > self.stall_iterations:
-                    bland = True
+            obj = float(cost[self.basis] @ self.x_b)
+            if obj < best_obj - tol * (1.0 + abs(best_obj)):
+                best_obj, stall = obj, 0
+            else:
+                stall += 1
 
 
 class KernelSolvesReference:

@@ -9,11 +9,11 @@ import corridor_kit.mga as mga_mod
 import corridor_kit.simplex as simplex_mod
 from corridor_kit.fleet import fleet_from_document
 from corridor_kit.lp import LpBuilder, LpProblem
-from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budget
+from corridor_kit.mga import PIN_LABEL, _cheapest_representative, add_cost_budget, extremize
 from corridor_kit.network import build_network
 from corridor_kit.pathway import phase_out
 from corridor_kit.reduction import reduce_document
-from corridor_kit.scenarios import apply_scenario
+from corridor_kit.scenarios import apply_scenario, enumerate_scenarios
 from corridor_kit.simplex import LpSolution, solve, verify_kkt
 from corridor_kit.translate import translate
 
@@ -306,6 +306,17 @@ def test_blocked_update_keeps_fixture_answers(doc8, base_scenario):
     assert assert_same_bytes_as_broadcast_core(cleanup).status == "optimal"
 
 
+def test_stall_rule_keeps_the_broadcast_cores_bytes(doc8, base_scenario):
+    """A short stall limit sends passes to Bland's rule and back; the byte oracle follows each switch."""
+    network = apply_scenario(build_network(doc8, 2030), base_scenario, 2030)
+    problem = translate(network, phase_out(fleet_from_document(doc8), 2030))
+    with mock.patch.object(simplex_mod, "STALL_ITERATIONS", 5):
+        optimal = assert_same_bytes_as_broadcast_core(problem)
+        budgeted = add_cost_budget(problem, optimal.objective, 0.05)
+        assert assert_same_bytes_as_broadcast_core(budgeted).status == "optimal"
+    assert optimal.status == "optimal"
+
+
 def test_blocked_update_keeps_random_answers():
     rng = np.random.default_rng(7)
     # With bounded columns the standard form has rows + columns rows, so the
@@ -507,3 +518,20 @@ def test_retry_sums_phase1_iterations_and_inverses(monkeypatch):
     (phase1_first, inverses_first), (phase1_second, inverses_second) = attempts
     assert phase1_first > 0 and inverses_first > 0
     assert (sol.phase1_iterations, sol.inverses) == (phase1_first + phase1_second, inverses_first + inverses_second)
+
+
+def test_pricing_leaves_blands_rule_once_the_objective_falls_again(fixture_doc, categories):
+    """A 32-snapshot min extremization whose phase 1 stalls for 300 pivots and then recovers.
+
+    Bland's rule holds only while the pass makes no progress; kept for the
+    rest of the pass it took about 10,000 iterations on this LP.  The bound
+    holds on one BLAS thread and on two.
+    """
+    document = reduce_document(fixture_doc, 32)
+    scenario = enumerate_scenarios(categories)[0]
+    network = apply_scenario(build_network(document, 2030), scenario, 2030)
+    problem = translate(network, phase_out(fleet_from_document(document), 2030))
+    budgeted = add_cost_budget(problem, solve(problem).objective, 0.05)
+    solution, _ = extremize(budgeted, "min")
+    assert solution.status == "optimal"
+    assert solution.iterations <= 2500
