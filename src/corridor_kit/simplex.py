@@ -566,6 +566,7 @@ class _KernelFactor:
         self.abs_vals = np.abs(work.vals)
         self.unit_row, self.unit_sign = _unit_columns(work)
         self.entry_col_start = work.start[work.cols]  # each entry's column start
+        self.col_start = work.start.tolist()  # FTRAN reads a column's bounds as Python ints
         # The eta file: N transposed (one row per pivot), L^-1 and the pivot
         # positions; the first pivot on each position, its position and eta.
         self.eta_n = np.zeros((etas, m))
@@ -633,11 +634,12 @@ class _KernelFactor:
         and its unit entries ``f_vals[f_split[j]:start[j + 1]]``, each part
         in row order, with each entry's slot in ``f_slot``.  The partition is
         stable within each column: an entry moves by the count of entries of
-        the other part that it passes.
+        the other part that it passes.  ``f_split`` is a list, as FTRAN
+        reads one entry of it at a time.
         """
         work = self.work
         if not self.s_pos.size:  # all unit rows: the working order as it is
-            self.f_vals, self.f_slot, self.f_split = work.vals, row_slot[work.rows], work.start
+            self.f_vals, self.f_slot, self.f_split = work.vals, row_slot[work.rows], self.col_start
             return
         in_k = kernel_row[work.rows]
         before = np.zeros(in_k.size + 1, dtype=np.int64)  # kernel entries before each entry
@@ -651,23 +653,28 @@ class _KernelFactor:
         self.f_vals[at] = work.vals
         self.f_slot = np.empty_like(work.rows)
         self.f_slot[at] = row_slot[work.rows]
-        self.f_split = work.start[:-1] + np.diff(col_before)
+        self.f_split = (work.start[:-1] + np.diff(col_before)).tolist()
 
     def ftran(self, j: int | np.ndarray) -> np.ndarray:
         """``B^-1 a_j`` for working column ``j``, or ``B^-1 v`` for a vector."""
+        # An empty coupling block C subtracts +0 from the unit part, which
+        # leaves every value as it is, so its bincount is skipped.
         x = np.empty(self.m)
         if isinstance(j, np.ndarray):
             x_s = j[self.s_rows] @ self.k_inv_t
             a_u = j[self.u_rows]
-            a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
+            if self.c_row.size:
+                a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
             x[self.s_pos] = x_s
         else:
-            start, split, end = self.work.start[j], self.f_split[j], self.work.start[j + 1]
+            start, split, end = self.col_start[j], self.f_split[j], self.col_start[j + 1]
             a_u = np.zeros(self.u_pos.size)
-            a_u[self.f_slot[split:end]] = self.f_vals[split:end]
+            if split < end:
+                a_u[self.f_slot[split:end]] = self.f_vals[split:end]
             if start < split:
                 x_s = self.f_vals[start:split] @ self.k_inv_t.take(self.f_slot[start:split], axis=0)
-                a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
+                if self.c_row.size:
+                    a_u -= np.bincount(self.c_row, weights=self.c_val * x_s[self.c_col], minlength=a_u.size)
                 x[self.s_pos] = x_s
             else:  # no kernel entry: x_s is +0, and its coupling would subtract +0
                 x[self.s_pos] = 0.0
@@ -684,23 +691,34 @@ class _KernelFactor:
         return x
 
     def btran(self, v: int | np.ndarray) -> np.ndarray:
-        """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position."""
+        """``v B^-1``, or row ``v`` of ``B^-1`` for a basis position.
+
+        For a position, the eta part ``N^T e_pos`` is column ``pos`` of ``N``:
+        one column read instead of a k x m product with a unit vector.  Adding
+        +0.0 maps -0.0 to +0.0, as that product's sum does, so the bytes are
+        the same.
+        """
         k = self.etas
         if isinstance(v, np.ndarray):
             if k:
                 v = v.copy()
+                s = self.eta_n[:k] @ v
         else:
             pos, v = v, np.zeros(self.m)
             v[pos] = 1.0
+            if k:
+                s = self.eta_n[:k, pos] + 0.0
         if k:
-            s = (self.eta_n[:k] @ v) @ self.eta_l_inv[:k, :k]
+            s = s @ self.eta_l_inv[:k, :k]
             # Every pivoted position has one first pivot.
             v[self.first_pos[: self.firsts]] = s[self.first_eta[: self.firsts]]
         y = np.empty(self.m)
         y_u = v[self.u_pos] * self.u_sign
         y[self.u_rows] = y_u
-        coupled = np.bincount(self.c_col, weights=self.c_val * y_u[self.c_row], minlength=self.s_pos.size)
-        y[self.s_rows] = self.k_inv_t @ (v[self.s_pos] - coupled)
+        v_s = v[self.s_pos]
+        if self.c_col.size:  # as in FTRAN, an empty C would subtract +0
+            v_s -= np.bincount(self.c_col, weights=self.c_val * y_u[self.c_row], minlength=v_s.size)
+        y[self.s_rows] = self.k_inv_t @ v_s
         return y
 
     def update(self, row: int, d: np.ndarray):
@@ -909,21 +927,32 @@ class _SimplexCore:
         start_basis = basis.copy()
         cost = np.zeros(self.work.n)
         np.maximum(self.c, 0.0, out=cost[:n])
-        enters = self.allowed & ~self.is_artificial
+        # Kept from pivot to pivot, not re-derived from the basis: the
+        # columns that may enter (allowed, structural and nonbasic), which
+        # basics are artificial, and the basic costs.
+        may_enter = self.allowed & ~self.is_artificial
+        enters = may_enter.copy()
+        enters[basis] = False
+        art_basic = self.is_artificial[basis]
+        cost_b = cost[basis]
+        infeas = np.empty(self.m)
+        eligible = np.empty(self.work.n, dtype=bool)
         floor = FEAS_TOL * feas_scale
         self.start = "dual"
-        z = cost - times_a(btran(cost[basis]))
+        z = cost - times_a(btran(cost_b))
         since_refactor, fresh = 0, True
-        best_obj, stall = float(cost[basis] @ self.x_b), 0
+        best_obj, stall = float(cost_b @ self.x_b), 0
         while True:
             if since_refactor >= self.refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
-                z = cost - times_a(btran(cost[basis]))
+                z = cost - times_a(btran(cost_b))
                 since_refactor, fresh = 0, True
             x_b = self.x_b
-            infeas = np.where(self.is_artificial[basis], np.abs(x_b), -x_b)
-            row = int(np.argmax(infeas))
+            # A negative basic is infeasible, and so is an artificial away from zero.
+            np.negative(x_b, out=infeas)
+            np.abs(x_b, out=infeas, where=art_basic)
+            row = int(infeas.argmax())
             if infeas[row] <= floor:
                 np.maximum(x_b, 0.0, out=x_b)
                 return None
@@ -931,31 +960,37 @@ class _SimplexCore:
                 return STATUS_TIMEOUT
             self.iterations += 1
             alpha = times_a(btran(row))
-            # Entering at a positive value moves x_b[row] by -alpha_j per unit.
-            sign = 1.0 if x_b[row] > 0.0 else -1.0
-            eligible = enters & (sign * alpha > PIVOT_TOL)
-            eligible[basis] = False
-            cand = np.flatnonzero(eligible)
+            # Entering at a positive value moves x_b[row] by -alpha_j per unit;
+            # signed, the row's entries that drive x_b[row] to zero are positive.
+            if not x_b[row] > 0.0:
+                np.negative(alpha, out=alpha)
+            np.greater(alpha, PIVOT_TOL, out=eligible)
+            eligible &= enters
+            cand = eligible.nonzero()[0]
             if not cand.size:
                 if not fresh:  # rule out factorization drift first
                     since_refactor = self.refactor_every
                     continue
-                held = self.is_artificial[basis]
+                held = art_basic.copy()
                 held[row] = False
                 peak = float(np.abs(alpha[n:]).max(initial=0.0))
                 shortfall = (abs(x_b[row]) / peak if peak > 0.0 else np.inf) + float(np.abs(x_b[held]).sum())
                 if shortfall > floor:
                     return STATUS_INFEASIBLE
                 return self._restart(start_basis)
-            ratios = np.maximum(z[cand], 0.0) / (sign * alpha[cand])
+            ratios = np.maximum(z[cand], 0.0) / alpha[cand]
             best = float(ratios.min())
             tie = cand[ratios <= best + DUAL_RATIO_TIE * (1.0 + abs(best))]
-            j = int(tie[np.argmax(np.abs(alpha[tie]))])
+            j = int(tie[0]) if tie.size == 1 else int(tie[np.argmax(np.abs(alpha[tie]))])
+            # The signs of z[j] / alpha[j] and alpha cancel in their product.
             z -= (z[j] / alpha[j]) * alpha
             z[j] = 0.0
+            leaving = basis[row]
             self._pivot(row, j, ftran(j), clamp=False)
+            enters[leaving], enters[j] = may_enter[leaving], False
+            art_basic[row], cost_b[row] = False, cost[j]  # j is structural
             since_refactor, fresh = since_refactor + 1, False
-            obj = float(cost[basis] @ self.x_b)
+            obj = float(cost_b @ self.x_b)
             if obj > best_obj + PIVOT_TOL * (1.0 + abs(best_obj)):
                 best_obj, stall = obj, 0
             else:
@@ -982,9 +1017,8 @@ class _SimplexCore:
         """Pivot basic artificials out wherever a structural pivot exists."""
         eligible = self.allowed & ~self.is_artificial
         eligible[self.basis] = False
-        for pos in range(self.m):
-            if not self.is_artificial[self.basis[pos]]:
-                continue
+        # A pivot replaces only its own position's artificial, so the others stay to visit.
+        for pos in np.flatnonzero(self.is_artificial[self.basis]).tolist():
             row = self.factor.times_a(self.factor.btran(pos))
             candidates = np.flatnonzero((np.abs(row) > DRIVE_OUT_TOL) & eligible)
             if not candidates.size:
@@ -1103,8 +1137,9 @@ class _SimplexCore:
         score = np.empty(cost.size)
         basis, factor = self.basis, self.factor  # both kept for the whole solve
         ftran, btran, times_a = factor.ftran, factor.btran, factor.times_a
+        cost_b = cost[basis]  # the basic costs, kept from pivot to pivot
         # The dual start's stall rule: Bland's rule, a guard against cycling, only while stalled.
-        best_obj, stall = float(cost[basis] @ self.x_b), 0
+        best_obj, stall = float(cost_b @ self.x_b), 0
 
         while True:
             if self.iterations >= MAX_ITERATIONS:
@@ -1118,7 +1153,7 @@ class _SimplexCore:
                 since_refactor = 0
                 self._close(closed)
 
-            y = btran(cost[basis])
+            y = btran(cost_b)
             # The noise floor |y|.|A_j| drifts slowly; refreshing it every few
             # iterations halves the pricing cost without affecting the rule.
             since_noise += 1
@@ -1164,7 +1199,7 @@ class _SimplexCore:
                 # Fresh factorization and still no blocking row: re-price this
                 # column accurately; a vanishing reduced cost marks a harmless
                 # degenerate ray, not an unbounded direction.
-                y_acc = _factor_solve(factor, basis, cost[basis], transpose=True)
+                y_acc = _factor_solve(factor, basis, cost_b, transpose=True)
                 dot, magnitude = self.work.column_dots(y_acc, j)
                 z_acc = cost[j] - dot
                 noise_j = 1.0 + magnitude
@@ -1188,11 +1223,12 @@ class _SimplexCore:
 
             leaving = basis[row]
             self._pivot(row, j, d)
+            cost_b[row] = cost[j]
             # A basic column is never banned, so only a disallowed one stays closed.
             closed[leaving] = not self.allowed[leaving]
             closed[j] = True
 
-            obj = float(cost[basis] @ self.x_b)
+            obj = float(cost_b @ self.x_b)
             if obj < best_obj - tol * (1.0 + abs(best_obj)):
                 best_obj, stall = obj, 0
             else:

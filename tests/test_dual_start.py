@@ -4,6 +4,7 @@ The start is keyed on the kernel factor, so the small LPs here reach it with
 ``_KERNEL_MIN_ROWS`` patched to 0.
 """
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -108,6 +109,79 @@ def test_dual_start_agrees_with_the_vertex_oracle(draw, min_unbounded):
             starts.append(sol.start)
     assert statuses.count("infeasible") >= 30 and statuses.count("unbounded") >= min_unbounded
     assert starts.count("dual") >= 150
+
+
+def _check_kept_state_before_each_pivot(checks: list):
+    """Wrap ``_SimplexCore._pivot``: a call from the dual start first compares its kept state with the basis.
+
+    The dual start keeps three arrays from pivot to pivot (its locals
+    ``enters``, ``art_basic`` and ``cost_b``); before each pivot they must
+    equal their recomputation from ``basis``, ``allowed`` and
+    ``is_artificial``.  The caller's frame is read, so the program needs no
+    hook of its own.
+    """
+    pivot = simplex_mod._SimplexCore._pivot
+
+    def checked(core, row, col, d, clamp=True):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_dual_start":
+            kept = caller.f_locals
+            enters = core.allowed & ~core.is_artificial
+            enters[core.basis] = False
+            assert np.array_equal(kept["enters"], enters)
+            assert np.array_equal(kept["art_basic"], core.is_artificial[core.basis])
+            assert kept["cost_b"].tobytes() == kept["cost"][core.basis].tobytes()
+            checks.append(row)
+        return pivot(core, row, col, d, clamp)
+
+    return mock.patch.object(simplex_mod._SimplexCore, "_pivot", checked)
+
+
+def _count_endings(endings: dict):
+    """Wrap the dual start and its restart to count how the starts end: ``restart`` and ``ray``."""
+    dual_start, restart = simplex_mod._SimplexCore._dual_start, simplex_mod._SimplexCore._restart
+
+    def counted_start(core, feas_scale):
+        status = dual_start(core, feas_scale)
+        endings["ray"] += status == simplex_mod.STATUS_INFEASIBLE  # no entering column on a fresh factor
+        return status
+
+    def counted_restart(core, start_basis):
+        endings["restart"] += 1
+        return restart(core, start_basis)
+
+    return (
+        mock.patch.object(simplex_mod._SimplexCore, "_dual_start", counted_start),
+        mock.patch.object(simplex_mod._SimplexCore, "_restart", counted_restart),
+    )
+
+
+@pytest.mark.parametrize(
+    "stall, refactor_every",
+    [(simplex_mod.STALL_ITERATIONS, simplex_mod.REFACTOR_EVERY), (3, 2)],
+    ids=["default", "restarts-and-refactors"],
+)
+def test_dual_start_keeps_its_state_in_step_with_the_basis(stall, refactor_every):
+    # The second setting restarts after three pivots without progress and
+    # refactorizes every second pivot, where the kept basic costs feed BTRAN.
+    rng = np.random.default_rng(25)
+    checks, endings = [], {"ray": 0, "restart": 0}
+    counted_start, counted_restart = _count_endings(endings)
+    with kernel_path(), _check_kept_state_before_each_pivot(checks), counted_start, counted_restart:
+        with mock.patch.object(simplex_mod, "STALL_ITERATIONS", stall):
+            with mock.patch.object(simplex_mod, "REFACTOR_EVERY", refactor_every):
+                for _ in range(120):
+                    n, m = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+                    if rng.uniform() < 0.5:
+                        problem = random_problem(rng, n, m, bounded=bool(rng.integers(2)))
+                    else:
+                        problem = artificial_heavy_problem(rng, n, m, bounded=True)
+                    if rng.uniform() < 1 / 3:
+                        problem = shifted(problem, rng)
+                    assert solve(problem).status in ("optimal", "infeasible", "unbounded")
+    assert len(checks) >= 200 and endings["ray"] >= 10
+    if stall < simplex_mod.STALL_ITERATIONS:
+        assert endings["restart"] >= 10
 
 
 def test_ray_within_phase1_tolerance_restarts_on_phase1():

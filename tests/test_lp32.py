@@ -1,5 +1,6 @@
 """``tools/lp32.py``: the five LP roles of a pair, run end to end at a small size."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,5 +17,11 @@ def test_one_small_pair_prints_five_optimal_roles_and_their_totals():
     assert [line.split()[:2] for line in roles] == [
         [role, "optimal"] for role in ("optimal", "min-extremize", "max-extremize", "min-cleanup", "max-cleanup")
     ]
-    iterations = sum(int(line.split()[2]) for line in roles)
-    assert total.startswith(f"total: 5 LPs, 5 optimal, {iterations} iterations (")
+    # Each role: status, iterations (start iterations), inverses, seconds and objective.
+    counts = [re.fullmatch(r"  \S+ +\S+ +(\d+) \( *(\d+)\) +(\d+) inverses +\d+\.\d{3} s  \S+", line) for line in roles]
+    assert all(counts), roles
+    iterations, start, inverses = (sum(int(match[i]) for match in counts) for i in (1, 2, 3))
+    assert 0 < inverses and start <= iterations
+    assert re.fullmatch(
+        rf"total: 5 LPs, 5 optimal, {iterations} iterations \({start}\), {inverses} inverses, \d+\.\d{{3}} s", total
+    )

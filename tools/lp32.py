@@ -15,8 +15,9 @@ without vintage aggregation.  Its five roles, at slack ε = 0.05:
   pinned at that extremum (``mga.pinned_cleanup``), through ``mga.solve``.
 
 Each role prints its status, its iterations, in brackets those of the start
-(the dual start's or phase 1's), its seconds and its objective: the cost in
-EUR, or the extremized target in MWh.  The last line sums them.  BLAS is
+(the dual start's or phase 1's), the basis inverses it computed
+(``LpSolution.inverses``), its seconds and its objective: the cost in EUR, or
+the extremized target in MWh.  The last line sums them.  BLAS is
 pinned to one thread through ``perfbench/env.py``, as the pivot path depends
 on the thread count.
 """
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     ck = env.import_program()
     document = ck.reduction.reduce_document(ck.fixture.fixture_document(), args.snapshots)
     scenarios = ck.scenarios.enumerate_scenarios(ck.scenarios.load_categories())
-    lps = optimal = iterations = start_iterations = 0
+    lps = optimal = iterations = start_iterations = inverses = 0
     seconds = 0.0
     for index, horizon in map(_pair, args.pairs.split(",")):
         problem, roles = solve_roles(ck, document, scenarios[index], horizon)
@@ -85,14 +86,18 @@ def main(argv=None) -> int:
         for role, solution, took in roles:
             print(
                 f"  {role:<14} {solution.status:<17} {solution.iterations:>6} ({solution.phase1_iterations:>6})"
-                f" {took:8.3f} s  {solution.objective!r}"
+                f" {solution.inverses:>5} inverses {took:8.3f} s  {solution.objective!r}"
             )
             lps += 1
             optimal += solution.status == "optimal"
             iterations += solution.iterations
             start_iterations += solution.phase1_iterations
+            inverses += solution.inverses
             seconds += took
-    print(f"total: {lps} LPs, {optimal} optimal, {iterations} iterations ({start_iterations}), {seconds:.3f} s")
+    print(
+        f"total: {lps} LPs, {optimal} optimal, {iterations} iterations ({start_iterations}),"
+        f" {inverses} inverses, {seconds:.3f} s"
+    )
     return 0
 
 
