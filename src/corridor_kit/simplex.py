@@ -4,7 +4,7 @@ The solver is deterministic (fixed tie-breaking, no randomization) and
 favours exact vertex solutions over speed: clean basic solutions give
 well-defined row duals for downstream shadow-price work.  Every LP takes one
 path, the standard form and the simplex core, and ``optimal`` is certified
-at one place, the KKT check at the end of each attempt.
+at one place, the KKT check at the end of each solve.
 
 The core reaches a primal-feasible basis in one of two ways.  An LP on the
 kernel factor (``_KERNEL_MIN_ROWS`` standard-form rows and more) whose start
@@ -47,7 +47,7 @@ _RESTART = "restart"  # not a status: the dual start gave way to phase 1 from th
 # sit lower, but moving it changes the answers of the LPs it moves.
 _KERNEL_MIN_ROWS = 140
 
-MAX_ITERATIONS = 50000  # per attempt; a solve that reaches it reports a timeout
+MAX_ITERATIONS = 50000  # iterations of one solve; a solve that reaches it reports a timeout
 PIVOT_TOL = 1e-9  # pricing / pivot tolerance on the equilibrated matrix
 FEAS_TOL = 1e-8  # relative primal feasibility threshold: phase 1, and restoration's noise floor and clamp
 KKT_TOL = 1e-8  # relative residual required to report "optimal"
@@ -62,8 +62,6 @@ RAY_REPRICE_NOISE = 1e-9  # the same allowance when a ray's column is re-priced 
 PRIMAL_RATIO_TIE = 1e-9  # pricing's ratio test: relative gap within which ratios tie
 REFACTOR_EVERY = 90  # pricing iterations between two refactorizations
 STALL_ITERATIONS = 300  # non-improving pivots before Bland's rule (until progress resumes) or a dual restart
-CAUTIOUS_REFACTOR_EVERY = 20  # REFACTOR_EVERY of the retry after a numerical failure
-CAUTIOUS_STALL_ITERATIONS = 40  # STALL_ITERATIONS of that retry
 
 
 @dataclass
@@ -226,8 +224,7 @@ class _Standardizer:
     depends on the sign of a zero.
     """
 
-    def __init__(self, problem: LpProblem, primal_start: bool = False):
-        self.primal_start = primal_start  # the caller's choice of start, for every attempt
+    def __init__(self, problem: LpProblem):
         n, m = problem.n, problem.m
         lb, ub = problem.lb, problem.ub
 
@@ -310,17 +307,16 @@ def solve(problem: LpProblem, primal_start: bool = False) -> LpSolution:
     """Solve the problem with the reference revised simplex.
 
     Every LP, one without rows or without columns too, goes through the
-    standard form and the one simplex core, and an attempt reports
+    standard form and the one simplex core, once, and a solve reports
     ``optimal`` only once :func:`verify_kkt` has passed it.  With
     ``primal_start`` the core runs phase 1 even where it would take the dual
     start (see :class:`_SimplexCore`).  Infeasible and
     unbounded models, iteration-cap timeouts and failed residual checks are
     reported through the solution status, never raised; malformed input
     (non-finite coefficients, NaN or wrong-side infinite bounds) raises
-    ``ValueError``.
-    A solve whose final residuals miss the tolerance is retried once with
-    the cautious settings before numerical failure is reported; the
-    reported iterations and inverses then include both attempts.
+    ``ValueError``.  A singular refactorization, a failed restoration or
+    final residuals that miss the tolerance end the solve
+    ``numerical_failure``, with the iterations and inverses it took.
     """
     for arr in (problem.c, problem.a_vals, problem.b):
         if arr.size and not np.all(np.isfinite(arr)):
@@ -329,22 +325,11 @@ def solve(problem: LpProblem, primal_start: bool = False) -> LpSolution:
     if not (np.all(problem.lb < np.inf) and np.all(problem.ub > -np.inf)):
         raise ValueError("NaN bound, lower bound +inf or upper bound -inf in LP")
 
-    std = _Standardizer(problem, primal_start)
-    sol = _solve_standardized(problem, std, REFACTOR_EVERY, STALL_ITERATIONS)
-    if sol.status == STATUS_NUMERICAL:
-        retry = _solve_standardized(problem, std, CAUTIOUS_REFACTOR_EVERY, CAUTIOUS_STALL_ITERATIONS)
-        # The failed attempt's work counts too.
-        retry.iterations += sol.iterations
-        retry.phase1_iterations += sol.phase1_iterations
-        retry.inverses += sol.inverses
-        return retry
-    return sol
+    return _solve_standardized(problem, _Standardizer(problem), primal_start)
 
 
-def _solve_standardized(
-    problem: LpProblem, std: _Standardizer, refactor_every: int, stall_iterations: int
-) -> LpSolution:
-    core = _SimplexCore(std.columns, std.b_std, std.c_std, refactor_every, stall_iterations, std.primal_start)
+def _solve_standardized(problem: LpProblem, std: _Standardizer, primal_start: bool) -> LpSolution:
+    core = _SimplexCore(std.columns, std.b_std, std.c_std, primal_start)
     status, iterations = core.run()
     counts = dict(
         iterations=iterations, phase1_iterations=core.phase1_iterations, inverses=core.inverses, start=core.start
@@ -724,7 +709,7 @@ class _KernelFactor:
     def update(self, row: int, d: np.ndarray):
         """Replace the basic column at ``row`` by the one whose FTRAN is ``d``."""
         k = self.etas
-        if k == self.eta_pos.size:  # more pivots than refactor_every since the last refactorization
+        if k == self.eta_pos.size:  # more pivots than the file holds since the last refactorization
             self._grow()
         piv = d[row]
         n_t = self.eta_n
@@ -801,7 +786,7 @@ class _SimplexCore:
     start that meets a ray within phase 1's tolerance, or stalls, restarts on
     phase 1 from the slack basis.  Phase 2 and the primal restoration follow
     with the true costs.  ``start`` reports the start that finished.  A primal
-    pass stalls as the dual start does, after ``stall_iterations`` pivots
+    pass stalls as the dual start does, after ``STALL_ITERATIONS`` pivots
     without progress, and then prices by Bland's rule until progress resumes.
     Every use of the basis inverse and every pricing product goes through a
     basis factor: :class:`_ExplicitInverse` below ``_KERNEL_MIN_ROWS`` rows
@@ -812,22 +797,14 @@ class _SimplexCore:
     final polish and the ray check are one function on either factor,
     :func:`_factor_solve`: its FTRAN or BTRAN, refined with residuals over the
     working matrix's triplets.  A factor starts on the slack/artificial basis,
-    the identity, with room for ``refactor_every`` etas.
+    the identity, with room for ``REFACTOR_EVERY`` etas.  Each pass reads
+    ``REFACTOR_EVERY`` and ``STALL_ITERATIONS`` from the module as it starts.
     """
 
-    def __init__(
-        self,
-        a: _Columns,
-        b: np.ndarray,
-        c: np.ndarray,
-        refactor_every: int,
-        stall_iterations: int,
-        primal_start: bool = False,
-    ):
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, primal_start: bool = False):
         self.a = a
         self.b = b
         self.c = c
-        self.refactor_every, self.stall_iterations = refactor_every, stall_iterations
         self.primal_start = primal_start
         self.m, self.n = a.m, a.n
         self.iterations = 0
@@ -852,7 +829,7 @@ class _SimplexCore:
         self.basis = basis
         self.work = self.a.with_units(missing)
         factor = _ExplicitInverse if m < _KERNEL_MIN_ROWS else _KernelFactor
-        self.factor = factor(self.work, basis, self.refactor_every)
+        self.factor = factor(self.work, basis, REFACTOR_EVERY)
         n_work = n + n_art
         self.is_artificial = np.zeros(n_work, dtype=bool)
         self.is_artificial[n:] = True
@@ -919,7 +896,7 @@ class _SimplexCore:
         infeasible (the basic values then clamped at zero), a final status,
         or ``_RESTART`` after resetting the slack basis for phase 1: when a
         ray on a fresh factorization leaves a shortfall that phase 1 would
-        accept, or the dual objective has not risen for ``stall_iterations``
+        accept, or the dual objective has not risen for ``STALL_ITERATIONS``
         pivots.
         """
         n, basis, factor = self.n, self.basis, self.factor
@@ -938,12 +915,13 @@ class _SimplexCore:
         infeas = np.empty(self.m)
         eligible = np.empty(self.work.n, dtype=bool)
         floor = FEAS_TOL * feas_scale
+        refactor_every, stall_iterations = REFACTOR_EVERY, STALL_ITERATIONS
         self.start = "dual"
         z = cost - times_a(btran(cost_b))
         since_refactor, fresh = 0, True
         best_obj, stall = float(cost_b @ self.x_b), 0
         while True:
-            if since_refactor >= self.refactor_every:
+            if since_refactor >= refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
                 z = cost - times_a(btran(cost_b))
@@ -969,7 +947,7 @@ class _SimplexCore:
             cand = eligible.nonzero()[0]
             if not cand.size:
                 if not fresh:  # rule out factorization drift first
-                    since_refactor = self.refactor_every
+                    since_refactor = refactor_every
                     continue
                 held = art_basic.copy()
                 held[row] = False
@@ -995,7 +973,7 @@ class _SimplexCore:
                 best_obj, stall = obj, 0
             else:
                 stall += 1
-                if stall >= self.stall_iterations:
+                if stall >= stall_iterations:
                     return self._restart(start_basis)
 
     def _restart(self, start_basis: np.ndarray) -> str:
@@ -1120,6 +1098,7 @@ class _SimplexCore:
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
         tol, pricing_noise, reprice_noise, ratio_tie = PIVOT_TOL, PRICING_NOISE, RAY_REPRICE_NOISE, PRIMAL_RATIO_TIE
+        refactor_every, stall_iterations = REFACTOR_EVERY, STALL_ITERATIONS
         # Pricing is normalized per column so the stopping rule matches the
         # relative reduced-cost criterion the KKT verifier applies; a second,
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
@@ -1146,7 +1125,7 @@ class _SimplexCore:
                 return STATUS_TIMEOUT
             self.iterations += 1
             since_refactor += 1
-            if since_refactor >= self.refactor_every:
+            if since_refactor >= refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
                 np.maximum(self.x_b, 0.0, out=self.x_b)
@@ -1166,7 +1145,7 @@ class _SimplexCore:
             np.divide(score, denom, out=score)  # eligible iff score < 0
             np.putmask(score, closed, np.inf)
 
-            bland = stall >= self.stall_iterations
+            bland = stall >= stall_iterations
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
                 if neg.size == 0:

@@ -411,19 +411,10 @@ class BroadcastSimplexCore:
     inverses = 0
     start = "primal"
 
-    def __init__(
-        self,
-        a: _Columns,
-        b: np.ndarray,
-        c: np.ndarray,
-        refactor_every: int,
-        stall_iterations: int,
-        primal_start: bool = False,
-    ):
+    def __init__(self, a: _Columns, b: np.ndarray, c: np.ndarray, primal_start: bool = False):
         self.a = a
         self.b = b
         self.c = c
-        self.refactor_every, self.stall_iterations = refactor_every, stall_iterations
         self.m, self.n = a.m, a.n
         self.iterations = 0
 
@@ -603,6 +594,7 @@ class BroadcastSimplexCore:
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str | None:
         tol = simplex_mod.PIVOT_TOL
+        refactor_every, stall_iterations = simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS
         # Pricing is normalized per column so the stopping rule matches the
         # relative reduced-cost criterion the KKT verifier applies; a second,
         # dual-scale term filters out roundoff noise of order |y|.|A_j| that
@@ -623,7 +615,7 @@ class BroadcastSimplexCore:
                 return STATUS_TIMEOUT
             self.iterations += 1
             since_refactor += 1
-            if since_refactor >= self.refactor_every:
+            if since_refactor >= refactor_every:
                 if not self._refactor():
                     return STATUS_NUMERICAL
                 np.maximum(self.x_b, 0.0, out=self.x_b)
@@ -644,7 +636,7 @@ class BroadcastSimplexCore:
             score[in_basis] = np.inf
             score[banned] = np.inf
 
-            bland = stall >= self.stall_iterations
+            bland = stall >= stall_iterations
             if bland:
                 neg = np.nonzero(score < 0.0)[0]
                 if neg.size == 0:

@@ -295,9 +295,9 @@ def test_kernel_factor_rejects_singular_bases():
     assert not factor.refactor(np.array([3, 2, 5]))  # two unit columns on row 0
 
 
-def test_singular_kernel_fails_numerically_then_retries(monkeypatch):
-    # A kernel inverse that fails makes the attempt a numerical failure, and
-    # solve() then runs the cautious retry.
+def test_singular_kernel_fails_the_solve_numerically(monkeypatch):
+    # A kernel inverse that fails at a refactorization ends the solve, in one
+    # attempt, as a numerical failure.
     problem = random_problem(np.random.default_rng(21), 40, 30)
     real_inv = np.linalg.inv
     calls = []
@@ -311,17 +311,18 @@ def test_singular_kernel_fails_numerically_then_retries(monkeypatch):
     real_solve = simplex_mod._solve_standardized
     attempts = []
 
-    def record(problem, std, refactor_every, stall_iterations):
-        sol = real_solve(problem, std, refactor_every, stall_iterations)
-        attempts.append((sol.status, refactor_every))
+    def record(problem, std, primal_start):
+        sol = real_solve(problem, std, primal_start)
+        attempts.append(sol.status)
         return sol
 
     monkeypatch.setattr(simplex_mod, "_solve_standardized", record)
     monkeypatch.setattr(simplex_mod, "REFACTOR_EVERY", 10)
     with kernel_path(), mock.patch.object(np.linalg, "inv", fail_first):
         sol = solve(problem)
-    assert attempts == [("numerical_failure", 10), ("optimal", 20)]
-    assert sol.status == "optimal" and sol.residuals.passes(1e-8)
+    assert attempts == ["numerical_failure"]
+    assert sol.status == "numerical_failure"
+    assert len(calls) == 1  # nothing is inverted after the failure
 
 
 def _assert_paths_agree(problem):

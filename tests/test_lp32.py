@@ -1,4 +1,4 @@
-"""``tools/lp32.py``: the five LP roles of a pair, run end to end at a small size."""
+"""``tools/lp32.py``: the five LP roles of a pair, run end to end at a small size and at paper scale."""
 
 import re
 import subprocess
@@ -25,3 +25,10 @@ def test_one_small_pair_prints_five_optimal_roles_and_their_totals():
     assert re.fullmatch(
         rf"total: 5 LPs, 5 optimal, {iterations} iterations \({start}\), {inverses} inverses, \d+\.\d{{3}} s", total
     )
+
+
+def test_a_paper_scale_pair_solves_all_five_roles_optimally():
+    # 32 snapshots, as the paper runs them: no role may end in a numerical failure.
+    proc = subprocess.run([sys.executable, str(TOOL), "--pairs", "150@2035"], capture_output=True, text=True, check=True)
+    total = proc.stdout.splitlines()[-1]
+    assert total.startswith("total: 5 LPs, 5 optimal, "), proc.stdout

@@ -326,27 +326,6 @@ def test_blocked_update_keeps_random_answers():
             assert_same_bytes_as_broadcast_core(random_problem(rng, n, m))
 
 
-def test_retry_counts_both_attempts(monkeypatch):
-    real = simplex_mod._solve_standardized
-    attempts = []
-
-    def fail_first(problem, std, refactor_every, stall_iterations):
-        sol = real(problem, std, refactor_every, stall_iterations)
-        attempts.append((sol.iterations, (refactor_every, stall_iterations)))
-        if len(attempts) == 1:
-            return LpSolution(status="numerical_failure", iterations=sol.iterations)
-        return sol
-
-    monkeypatch.setattr(simplex_mod, "_solve_standardized", fail_first)
-    kkt_calls = _spy_verify_kkt(monkeypatch)
-    sol = solve(random_problem(np.random.default_rng(5), 12, 9))
-    assert sol.status == "optimal"
-    assert len(kkt_calls) == 2  # once per attempt
-    (first, _), (second, cautious) = attempts
-    assert first > 0 and sol.iterations == first + second
-    assert cautious == (20, 40)
-
-
 def test_implicit_unit_columns_keep_artificial_heavy_answers():
     real_drive = simplex_mod._SimplexCore._drive_out_artificials
     drove_out, starts_with_artificials, artificial_stays = [], [], []
@@ -479,10 +458,10 @@ def test_restoration_pivots_out_a_clamp_that_breaks_a_row(factor):
     b = np.array([4e5, 0.01, 0.01 + 2.35e-6])
     cost = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     if factor is None:
-        core = BroadcastSimplexCore(a, b, cost, simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS)
+        core = BroadcastSimplexCore(a, b, cost)
         core.a_work = a.dense(np.arange(5))
     else:
-        core = simplex_mod._SimplexCore(a, b, cost, simplex_mod.REFACTOR_EVERY, simplex_mod.STALL_ITERATIONS)
+        core = simplex_mod._SimplexCore(a, b, cost)
     core.work = a
     core.basis = np.array([0, 2, 1])
     # Neither the oracle nor a factor starts on this basis, which is not the identity.
@@ -501,23 +480,23 @@ def test_restoration_pivots_out_a_clamp_that_breaks_a_row(factor):
     np.testing.assert_allclose(a.dense(np.arange(5)) @ x, b, rtol=0, atol=1e-12)
 
 
-def test_retry_sums_phase1_iterations_and_inverses(monkeypatch):
+def test_numerical_failure_is_returned_after_one_attempt_with_its_counts(monkeypatch):
     real = simplex_mod._solve_standardized
     attempts = []
 
-    def fail_first(problem, std, refactor_every, stall_iterations):
-        sol = real(problem, std, refactor_every, stall_iterations)
-        attempts.append((sol.phase1_iterations, sol.inverses))
-        if len(attempts) == 1:
-            return replace(sol, status="numerical_failure")
-        return sol
+    def fail(problem, std, primal_start):
+        sol = real(problem, std, primal_start)
+        attempts.append((sol.iterations, sol.phase1_iterations, sol.inverses))
+        return replace(sol, status="numerical_failure")
 
-    monkeypatch.setattr(simplex_mod, "_solve_standardized", fail_first)
+    monkeypatch.setattr(simplex_mod, "_solve_standardized", fail)
+    kkt_calls = _spy_verify_kkt(monkeypatch)
     sol = solve(artificial_heavy_problem(np.random.default_rng(0), 70, 60, bounded=True))
-    assert sol.status == "optimal"
-    (phase1_first, inverses_first), (phase1_second, inverses_second) = attempts
-    assert phase1_first > 0 and inverses_first > 0
-    assert (sol.phase1_iterations, sol.inverses) == (phase1_first + phase1_second, inverses_first + inverses_second)
+    assert sol.status == "numerical_failure"
+    assert len(kkt_calls) == 1
+    (counts,) = attempts
+    assert min(counts) > 0
+    assert (sol.iterations, sol.phase1_iterations, sol.inverses) == counts
 
 
 def test_pricing_leaves_blands_rule_once_the_objective_falls_again(fixture_doc, categories):
