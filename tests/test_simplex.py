@@ -480,7 +480,12 @@ def test_restoration_pivots_out_a_clamp_that_breaks_a_row(factor):
     np.testing.assert_allclose(a.dense(np.arange(5)) @ x, b, rtol=0, atol=1e-12)
 
 
-def test_numerical_failure_is_returned_after_one_attempt_with_its_counts(monkeypatch):
+def _solve_forced_to_fail(monkeypatch):
+    """Solve an artificial-heavy LP whose one attempt is marked numerical_failure.
+
+    Returns the solution, the (iterations, phase1_iterations, inverses) of each
+    ``_solve_standardized`` call, and the KKT checks made.
+    """
     real = simplex_mod._solve_standardized
     attempts = []
 
@@ -492,11 +497,24 @@ def test_numerical_failure_is_returned_after_one_attempt_with_its_counts(monkeyp
     monkeypatch.setattr(simplex_mod, "_solve_standardized", fail)
     kkt_calls = _spy_verify_kkt(monkeypatch)
     sol = solve(artificial_heavy_problem(np.random.default_rng(0), 70, 60, bounded=True))
+    return sol, attempts, kkt_calls
+
+
+def test_numerical_failure_is_returned_after_one_attempt(monkeypatch):
+    sol, attempts, kkt_calls = _solve_forced_to_fail(monkeypatch)
     assert sol.status == "numerical_failure"
+    assert len(attempts) == 1
     assert len(kkt_calls) == 1
+    assert attempts[0][0] > 0
+    assert sol.iterations == attempts[0][0]
+
+
+def test_numerical_failure_keeps_its_attempts_phase1_iterations_and_inverses(monkeypatch):
+    sol, attempts, _ = _solve_forced_to_fail(monkeypatch)
+    assert sol.status == "numerical_failure"
     (counts,) = attempts
-    assert min(counts) > 0
-    assert (sol.iterations, sol.phase1_iterations, sol.inverses) == counts
+    assert min(counts[1:]) > 0
+    assert (sol.phase1_iterations, sol.inverses) == counts[1:]
 
 
 def test_pricing_leaves_blands_rule_once_the_objective_falls_again(fixture_doc, categories):
